@@ -17,28 +17,19 @@ from repro.experiments.runner import ExperimentSettings, ResultMatrix
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _hermetic_result_cache(tmp_path_factory):
-    """Benchmarks must time real simulations, not disk-cache hits."""
-    old = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
-    yield
-    if old is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = old
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _hermetic_trace_cache(tmp_path_factory):
-    """Benchmarks must not reuse (or pollute) the user's packed traces."""
-    old = os.environ.get("REPRO_TRACE_CACHE_DIR")
-    os.environ["REPRO_TRACE_CACHE_DIR"] = str(
-        tmp_path_factory.mktemp("repro-trace-cache"))
-    yield
-    if old is None:
-        os.environ.pop("REPRO_TRACE_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_TRACE_CACHE_DIR"] = old
+def _hermetic_store(tmp_path_factory):
+    """Benchmarks must time real simulations, not disk-cache hits, and
+    must not reuse (or pollute) the user's store: results and traces go
+    to a session scratch store, and ``HOME`` to a tempdir whose default
+    store root must stay absent."""
+    home = tmp_path_factory.mktemp("home")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("HOME", str(home))
+        patch.setenv("REPRO_STORE",
+                     str(tmp_path_factory.mktemp("repro-store")))
+        yield
+    leaked = home / ".cache" / "repro"
+    assert not leaked.exists(), f"a benchmark wrote to {leaked}"
 
 
 def bench_settings() -> ExperimentSettings:

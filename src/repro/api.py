@@ -36,9 +36,7 @@ Layers
 * storage — the :class:`BlobStore` interface with its :class:`FsStore`
   / :class:`HttpStore` backends and :func:`configure_store`, which
   points every cache this process builds (and every pool worker it
-  forks) at one store URL; see docs/distributed.md.  The ``root`` path
-  arguments of :class:`ResultCache` / ``TraceCache`` are deprecated
-  shims over an :class:`FsStore`;
+  forks) at one store URL; see docs/distributed.md;
 * the sweep service — :func:`serve` runs the HTTP/JSON-RPC front end
   with its durable job queue, :class:`ServiceClient` talks to one
   (``client.sweep(specs)`` is the remote equivalent of :func:`sweep`);
@@ -122,8 +120,9 @@ def run(workload: str,
         batch: Optional[bool] = None) -> RunResult:
     """Simulate one bundled workload under one protocol.
 
-    The one-call entry point: builds the synthetic trace, the machine,
-    and runs it.  ``obs=True`` (or an :class:`ObsConfig`) attaches an
+    The one-call entry point: replays the recipe's packed trace from the
+    trace cache (building it on first use), builds the machine, and runs
+    it.  ``obs=True`` (or an :class:`ObsConfig`) attaches an
     observability session whose event trace / metrics / phase timers
     land on the returned :class:`RunResult`.  ``batch`` selects the
     batched packed-trace issue loop (:mod:`repro.system.batch`):
@@ -131,14 +130,14 @@ def run(workload: str,
     scalar loop, ``True`` forces batching where eligible — counters are
     bit-identical either way.
     """
-    from repro.trace.packed import PackedTrace
+    from repro.trace._cache import packed_streams
 
     spec = RunSpec(workload=workload, protocol=parse_protocol(protocol),
                    block_bytes=block_bytes, cores=cores,
                    per_core=per_core, seed=seed)
-    streams = PackedTrace.from_streams(
-        build_streams(workload, cores=cores, per_core=per_core, seed=seed))
-    return simulate(streams, spec.config(), name=workload,
+    trace = packed_streams(workload, cores=cores, per_core=per_core,
+                           seed=seed)
+    return simulate(trace, spec.config(), name=workload,
                     max_accesses=max_accesses, obs=obs, batch=batch)
 
 
@@ -185,8 +184,8 @@ def sweep(specs: Iterable[RunSpec],
     """Serve a grid of :class:`RunSpec` runs, in parallel where possible.
 
     Runs go through the cache-aware :class:`ExperimentEngine`: previously
-    computed cells are served from the persistent result cache
-    (``REPRO_CACHE_DIR``) and misses fan out across ``jobs`` worker
+    computed cells are served from the persistent result cache (the
+    store ``REPRO_STORE`` names) and misses fan out across ``jobs`` worker
     processes.  Pass an existing ``engine`` to reuse its warm pool and
     metrics session across several sweeps.
 

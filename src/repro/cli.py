@@ -25,16 +25,15 @@ Commands
 ``jobs``      list/inspect/cancel jobs on a running service
 
 Every subcommand shares one option vocabulary (``--jobs``, ``--seed``,
-``--protocol``, ``--store``, ``--trace-dir``) via a common parent
-parser, so flags mean the same thing everywhere.  ``report`` and
-``bench`` run through the parallel experiment engine: ``REPRO_JOBS``
-sizes the worker pool and ``--store`` / ``REPRO_STORE`` names the blob
-store holding the result and trace caches — ``file:///path`` (or a bare
-path) for a local tree, ``http://host:port`` for a running ``repro
-serve`` shared by a fleet (docs/distributed.md).  The older
-``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` variables and
-``--trace-dir`` remain as deprecated aliases locating the default
-``file://`` store.
+``--protocol``, ``--store``) via a common parent parser, so flags mean
+the same thing everywhere.  ``report`` and ``bench`` run through the
+parallel experiment engine: ``REPRO_JOBS`` sizes the worker pool and
+``--store`` / ``REPRO_STORE`` names the blob store holding the result
+and trace caches — ``file:///path`` (or a bare path) for a local tree
+(traces under ``<path>/traces``; default ``~/.cache/repro``),
+``http://host:port`` for a running ``repro serve`` shared by a fleet
+(docs/distributed.md).  The store URL is the only way to say where
+blobs live.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def _config(args, protocol: ProtocolKind) -> SystemConfig:
 def _common_parent() -> argparse.ArgumentParser:
     """The option vocabulary every subcommand shares.
 
-    One parent parser keeps ``--jobs/--seed/--protocol/--trace-dir``
+    One parent parser keeps ``--jobs/--seed/--protocol/--store``
     spelled, typed, and documented identically across subcommands;
     per-command defaults come from ``set_defaults`` on the subparser
     (e.g. ``run`` defaults ``--protocol`` to ``mw``, ``verify`` to all).
@@ -98,13 +97,8 @@ def _common_parent() -> argparse.ArgumentParser:
                              "of a running 'repro serve' (?timeout=SECONDS "
                              "accepted), or tiered+http://host:port?local=DIR"
                              "[&budget=BYTES] for an outage-tolerant local "
-                             "tier (overrides REPRO_STORE; supersedes the "
-                             "deprecated REPRO_CACHE_DIR/"
-                             "REPRO_TRACE_CACHE_DIR)")
-    parent.add_argument("--trace-dir", default="",
-                        help="packed trace cache directory "
-                             "(overrides REPRO_TRACE_CACHE_DIR; deprecated "
-                             "in favour of --store)")
+                             "tier (overrides REPRO_STORE; default "
+                             "~/.cache/repro)")
     parent.add_argument("--batch", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="batched packed-trace execution (--no-batch "
@@ -116,10 +110,10 @@ def _common_parent() -> argparse.ArgumentParser:
 def _apply_common(args) -> Optional[int]:
     """Resolve the shared flags into process state.
 
-    ``--jobs`` and ``--trace-dir`` are exported through the environment so
+    ``--jobs`` and ``--store`` are exported through the environment so
     every engine this process creates — and every pool worker it forks —
-    agrees on the worker count and trace cache location.  Returns the
-    explicit job count, if one was given.
+    agrees on the worker count and the blob store.  Returns the explicit
+    job count, if one was given.
     """
     if getattr(args, "store", ""):
         from repro.store import StoreError, configure_store
@@ -129,8 +123,6 @@ def _apply_common(args) -> Optional[int]:
             configure_store(args.store)
         except StoreError as exc:
             raise SystemExit(f"--store: {exc}")
-    if getattr(args, "trace_dir", ""):
-        os.environ["REPRO_TRACE_CACHE_DIR"] = args.trace_dir
     batch = getattr(args, "batch", None)
     if batch is not None:
         # Exported rather than threaded through call signatures so the
@@ -229,17 +221,17 @@ def cmd_compare(args) -> int:
 def _resolve_journal(args) -> Optional["SweepJournal"]:
     """The sweep journal for ``--journal``/``--resume`` (None when unused).
 
-    ``--resume`` without an explicit path uses the default journal beside
-    the result cache; a journal is opened (and appended to) whenever
-    either flag is given.
+    ``--resume`` without an explicit path uses ``journal.jsonl`` under
+    the local root of the store in effect; a journal is opened (and
+    appended to) whenever either flag is given.
     """
     from repro.resilience.journal import SweepJournal
 
     path = getattr(args, "journal", "")
     if not path and getattr(args, "resume", False):
-        from repro.experiments._engine import default_cache_dir
+        from repro.store import local_root
 
-        path = str(default_cache_dir() / "journal.jsonl")
+        path = str(local_root() / "journal.jsonl")
     if not path:
         return None
     journal = SweepJournal(path)
@@ -584,30 +576,19 @@ def _parse_size(text: str) -> int:
 
 
 def cmd_doctor(args) -> int:
-    """Audit cache/trace-store integrity; exit nonzero on problems."""
-    from pathlib import Path
-
+    """Audit the store in effect (any backend, including a remote
+    ``repro serve``); exit nonzero on problems."""
     from repro.resilience.doctor import run_doctor
 
     _apply_common(args)
-    store = None
-    if args.store:
-        # Audit through the store interface — same checks, any backend,
-        # including a remote `repro serve` (--store http://host:port).
-        from repro.store import get_store
-
-        store = get_store()
     try:
         budget = _parse_size(args.prune_to_size) if args.prune_to_size else None
     except ValueError as exc:
         raise SystemExit(f"--prune-to-size: {exc}")
     report = run_doctor(
-        result_root=Path(args.cache_dir) if args.cache_dir else None,
-        trace_root=Path(args.trace_dir) if args.trace_dir else None,
         fix=args.fix,
         prune_older_than_days=(args.prune_older_than
                                if args.prune_older_than > 0 else None),
-        store=store,
         prune_to_size_bytes=budget,
     )
     print(report.render())
@@ -725,7 +706,7 @@ def _add_journal_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="load the journal first and replay only "
                              "uncompleted runs (default journal: "
-                             "<cache-dir>/journal.jsonl)")
+                             "<store root>/journal.jsonl)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -879,9 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="audit result/trace cache integrity "
                             "(entries, temp orphans, quarantine)",
                        parents=[_common_parent()])
-    p.add_argument("--cache-dir", default="",
-                   help="result cache root to audit "
-                        "(default REPRO_CACHE_DIR or ~/.cache/repro)")
     p.add_argument("--fix", action="store_true",
                    help="remove orphaned temp files and quarantine corrupt "
                         "entries (payloads are never deleted)")
@@ -906,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks an ephemeral port; default 8673)")
     p.add_argument("--state-dir", default="",
                    help="queue/journal/result state directory (default "
-                        "REPRO_SERVICE_DIR or <cache-dir>/service)")
+                        "REPRO_SERVICE_DIR or <store root>/service)")
     p.add_argument("--ttl", type=float, default=0.0,
                    help="default queued-job TTL in seconds "
                         "(0: the built-in 24h)")

@@ -11,10 +11,10 @@ content-addressed by the full run recipe:
   ``SCHEMA_VERSION``; bumping the version invalidates every cached entry
   (the only invalidation rule — bump it whenever a change alters simulated
   outcomes or the serialized layout).
-* **ResultCache** — ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``),
-  one JSON file per digest under a two-hex-char fan-out directory.
-  Entries are written atomically (temp file + rename) so concurrent
-  engines never observe torn results.  ``REPRO_CACHE=0`` disables it.
+* **ResultCache** — the blob store ``--store`` / ``REPRO_STORE`` names
+  (default ``~/.cache/repro``), one JSON blob per digest.  Entries are
+  written atomically (temp file + rename) so concurrent engines never
+  observe torn results.  ``REPRO_CACHE=0`` disables it.
 * **ExperimentEngine** — cache-aware execution.  ``run()`` serves one
   spec; ``run_many()`` fans cache misses out over a persistent
   ``ProcessPoolExecutor`` sized by ``$REPRO_JOBS`` (default: all cores),
@@ -24,12 +24,11 @@ The fan-out path is built so pool overhead stays off the hot path:
 
 * the **pool is created once per engine** and reused across every
   ``run_many()`` call; its initializer pre-imports the simulation stack
-  and pins the trace-cache directory, so workers pay import cost once,
-  not per task;
+  and pins the store, so workers pay import cost once, not per task;
 * specs are submitted in **chunks** so task IPC amortizes over several
   simulations;
 * workers replay **packed traces** from the content-addressed trace
-  cache (:mod:`repro.trace.cache`) instead of regenerating workload
+  cache (:mod:`repro.trace._cache`) instead of regenerating workload
   streams, and return one compact JSON blob per result, which the
   parent writes to the result cache verbatim (one parse to build the
   in-memory ``RunResult``, no dict round-trip).
@@ -53,7 +52,6 @@ import json
 import hashlib
 import os
 import time
-import warnings
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -68,11 +66,11 @@ from repro.resilience.journal import SweepJournal
 from repro.resilience.lease import LeaseBoard
 from repro.resilience.log import warn as resilience_warn
 from repro.resilience.retry import RetryPolicy
-from repro.store import NAMESPACE_RESULTS, BlobStore, FsStore, get_store
-from repro.store.fs import default_result_root
+from repro.store import NAMESPACE_RESULTS, BlobStore, get_store
+from repro.store.config import cache_enabled
 from repro.system.machine import simulate
 from repro.system.results import RunResult
-from repro.trace._cache import packed_streams, trace_cache_dir
+from repro.trace._cache import packed_streams
 from repro.trace.workloads import build_streams
 
 #: Bump whenever simulation behaviour or the serialized result layout
@@ -152,19 +150,17 @@ def _serialize_result(result: RunResult) -> str:
     return json.dumps(result.to_dict(), separators=(",", ":"))
 
 
-def _pool_init(trace_dir: str, batch_env: str = "",
-               store_env: str = "", store_timeout_env: str = "") -> None:
-    """Worker initializer: pin the trace cache, pre-import the machine.
+def _pool_init(batch_env: str = "", store_env: str = "",
+               store_timeout_env: str = "") -> None:
+    """Worker initializer: pin the store, pre-import the machine.
 
     Runs once per worker process (not per task), so spawn-started pools
-    agree with the parent on trace-cache location, blob-store choice
-    (``REPRO_STORE``, set by ``--store``), the remote-store timeout
-    (``REPRO_STORE_TIMEOUT``), batched-execution choice (``REPRO_BATCH``,
-    set by ``--batch/--no-batch``), and every heavy import is paid
-    before the first task arrives.
+    agree with the parent on blob-store choice (``REPRO_STORE``, set by
+    ``--store``), the remote-store timeout (``REPRO_STORE_TIMEOUT``),
+    batched-execution choice (``REPRO_BATCH``, set by
+    ``--batch/--no-batch``), and every heavy import is paid before the
+    first task arrives.
     """
-    if trace_dir:
-        os.environ["REPRO_TRACE_CACHE_DIR"] = trace_dir
     if batch_env:
         os.environ["REPRO_BATCH"] = batch_env
     if store_env:
@@ -172,11 +168,6 @@ def _pool_init(trace_dir: str, batch_env: str = "",
     if store_timeout_env:
         os.environ["REPRO_STORE_TIMEOUT"] = store_timeout_env
     import repro.system.machine  # noqa: F401
-
-
-def _worker_run(payload: Dict) -> Dict:
-    """Single-spec pool entry point (kept for compatibility)."""
-    return execute_spec(RunSpec.from_payload(payload)).to_dict()
 
 
 def _worker_run_chunk(payloads: List[Dict]) -> List[str]:
@@ -191,14 +182,6 @@ def _worker_run_chunk(payloads: List[Dict]) -> List[str]:
         injector.on_worker_chunk()
     return [_serialize_result(execute_spec(RunSpec.from_payload(payload)))
             for payload in payloads]
-
-
-def default_cache_dir() -> Path:
-    return default_result_root()
-
-
-def cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
 def default_jobs() -> int:
@@ -230,25 +213,10 @@ class ResultCache:
     exists but does not parse): corrupt blobs quarantine through the
     store — never silently deleted — and the miss triggers a fresh run
     that rewrites the entry.  ``REPRO_CACHE=0`` disables it.
-
-    .. deprecated::
-        The ``root`` path argument is a compatibility shim that pins an
-        :class:`~repro.store.FsStore` at that path; pass ``store=``
-        (or call :func:`repro.store.configure_store`) instead.
     """
 
-    def __init__(self, root: Optional[Path] = None,
-                 enabled: Optional[bool] = None,
-                 store: Optional[BlobStore] = None):
-        if root is not None:
-            if store is not None:
-                raise TypeError("pass either root= (deprecated) or store=, "
-                                "not both")
-            warnings.warn(
-                "ResultCache(root=...) is deprecated; pass "
-                "store=FsStore(root) or configure_store(...)",
-                DeprecationWarning, stacklevel=2)
-            store = FsStore(Path(root))
+    def __init__(self, *, store: Optional[BlobStore] = None,
+                 enabled: Optional[bool] = None):
         self._store = store
         self.enabled = cache_enabled() if enabled is None else enabled
         self.hits = 0
@@ -260,11 +228,6 @@ class ResultCache:
         """The backend in effect (pinned at construction, else the
         process-wide :func:`repro.store.get_store` resolved per use)."""
         return self._store if self._store is not None else get_store()
-
-    @property
-    def root(self) -> Optional[Path]:
-        """The local cache root, when the backend has one (legacy)."""
-        return getattr(self.store, "root", None)
 
     @staticmethod
     def key_for(spec: RunSpec) -> str:
@@ -381,8 +344,7 @@ class ExperimentEngine:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_pool_init,
-                initargs=(str(trace_cache_dir()),
-                          os.environ.get("REPRO_BATCH", ""),
+                initargs=(os.environ.get("REPRO_BATCH", ""),
                           os.environ.get("REPRO_STORE", ""),
                           os.environ.get("REPRO_STORE_TIMEOUT", "")),
             )

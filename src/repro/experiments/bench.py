@@ -363,8 +363,10 @@ def run_bench(quick: bool = False, jobs: Optional[int] = None,
     else:
         scratch = Path(tempfile.mkdtemp(prefix="repro-bench-"))
         keep_scratch = False
-    old_trace_dir = os.environ.get("REPRO_TRACE_CACHE_DIR")
-    os.environ["REPRO_TRACE_CACHE_DIR"] = str(scratch / "traces")
+    # Traces go to a scratch store (<scratch>/traces) that pool workers
+    # inherit; each sweep pins its own scratch result cache.
+    old_store = os.environ.get("REPRO_STORE")
+    os.environ["REPRO_STORE"] = FsStore(scratch).url()
     # Observability must not leak into the timed sweeps: an ambient
     # REPRO_OBS=1 would tax every run (and every pool worker) and make the
     # baseline comparison meaningless.  measure_obs_overhead() re-enables
@@ -384,10 +386,10 @@ def run_bench(quick: bool = False, jobs: Optional[int] = None,
         batch = measure_batch(MICROBENCH, repeats=repeats)
         obs_overhead = measure_obs_overhead(MICROBENCH, repeats=repeats)
     finally:
-        if old_trace_dir is None:
-            os.environ.pop("REPRO_TRACE_CACHE_DIR", None)
+        if old_store is None:
+            os.environ.pop("REPRO_STORE", None)
         else:
-            os.environ["REPRO_TRACE_CACHE_DIR"] = old_trace_dir
+            os.environ["REPRO_STORE"] = old_store
         if old_obs is not None:
             os.environ["REPRO_OBS"] = old_obs
         if journal is not None:

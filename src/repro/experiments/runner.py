@@ -4,10 +4,10 @@ Figures 9, 10, 13, 14 and 15 all consume the same (workload x protocol)
 run matrix; :class:`ResultMatrix` memoizes each run so a full figure sweep
 simulates every configuration exactly once per process (and the benchmark
 suite shares one matrix across all figure benches).  Under the hood every
-run is served by :class:`~repro.experiments.engine.ExperimentEngine`:
+run is served by :class:`~repro.experiments._engine.ExperimentEngine`:
 cache misses of a :meth:`ResultMatrix.sweep` fan out across a process
-pool (``REPRO_JOBS``) and finished results persist on disk
-(``REPRO_CACHE_DIR``), so a warm sweep is pure cache hits.
+pool (``REPRO_JOBS``) and finished results persist in the blob store
+(``--store`` / ``REPRO_STORE``), so a warm sweep is pure cache hits.
 
 Scale control: ``REPRO_SCALE`` (accesses per core, default 2000) and
 ``REPRO_WORKLOADS`` (comma-separated subset) keep full-suite regeneration

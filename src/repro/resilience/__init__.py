@@ -22,7 +22,7 @@ guarantee:
 * **operator tooling** — ``repro chaos``
   (:mod:`~repro.resilience.chaos`: run a sweep under a fault plan and
   assert the final matrix is bit-identical to a fault-free run) and
-  ``repro doctor`` (:mod:`~repro.resilience.doctor`: cache/trace-dir
+  ``repro doctor`` (:mod:`~repro.resilience.doctor`: blob-store
   integrity audit).
 
 Every counter the machinery bumps lands in the process-wide

@@ -97,11 +97,7 @@ def run_chaos(faults: str = "",
         default_jobs,
     )
     from repro.experiments.bench import matrix_specs
-    from repro.resilience.doctor import (
-        check_result_cache,
-        check_result_store,
-        check_trace_cache,
-    )
+    from repro.resilience.doctor import check_result_store, check_trace_store
     from repro.store import FsStore, parse_store_url
 
     plan = FaultPlan.parse(faults or DEFAULT_FAULTS).with_seed(seed)
@@ -112,11 +108,15 @@ def run_chaos(faults: str = "",
 
     scratch = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     saved = {name: os.environ.get(name)
-             for name in ("REPRO_FAULTS", "REPRO_FAULTS_DIR",
-                          "REPRO_TRACE_CACHE_DIR", "REPRO_OBS",
-                          "REPRO_STORE_RETRIES", "REPRO_STORE_TIMEOUT",
-                          "REPRO_RETRY_SEED")}
-    os.environ["REPRO_TRACE_CACHE_DIR"] = str(scratch / "traces")
+             for name in ("REPRO_FAULTS", "REPRO_FAULTS_DIR", "REPRO_STORE",
+                          "REPRO_OBS", "REPRO_STORE_RETRIES",
+                          "REPRO_STORE_TIMEOUT", "REPRO_RETRY_SEED")}
+    # Traces (built and replayed by every pool worker) live in a scratch
+    # store under <scratch>/traces; each phase pins its own result cache.
+    # A remote --store is never exported: it would leak into the
+    # fault-free baseline.
+    trace_store = FsStore(scratch)
+    os.environ["REPRO_STORE"] = trace_store.url()
     os.environ.pop("REPRO_FAULTS", None)
     os.environ.pop("REPRO_FAULTS_DIR", None)
     # Ambient observability would attach wall-clock phase timings to every
@@ -164,12 +164,10 @@ def run_chaos(faults: str = "",
 
         # Phase 3: leak audit — every surviving cache entry must be intact
         # (corruption belongs in quarantine, not in the fan-out dirs).
-        # An explicit store is audited through the interface (for a
-        # tiered store that is its local tier — the side the faulted
-        # sweep actually read from).
-        audit = ((check_result_store(faulted_store) if store
-                  else check_result_cache(scratch / "faulted"))
-                 + check_trace_cache(scratch / "traces"))
+        # A tiered store's audit reads its local tier first — the side
+        # the faulted sweep actually read from.
+        audit = (check_result_store(faulted_store)
+                 + check_trace_store(trace_store))
         leaks: List[str] = [line for check in audit if not check.ok
                             for line in check.details]
     finally:

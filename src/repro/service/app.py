@@ -9,9 +9,9 @@ The service owns four pieces and their lifecycle:
   persistent worker pool, shared across jobs (pool start-up is paid
   once per service, not per submission);
 * one durable :class:`~repro.service.queue.JobQueue` under the service
-  state directory (``$REPRO_SERVICE_DIR``, default ``<cache
-  root>/service``), holding per-job sweep journals and result blobs
-  beside the queue journal;
+  state directory (``$REPRO_SERVICE_DIR``, default ``service/`` under
+  the local root of the store in effect), holding per-job sweep
+  journals and result blobs beside the queue journal;
 * one :class:`~repro.service.dispatcher.Dispatcher` thread draining the
   queue.
 
@@ -41,12 +41,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro._version import package_version
 from repro.common.errors import ConfigError
 from repro.common.params import parse_protocol
-from repro.experiments._engine import (
-    ExperimentEngine,
-    ResultCache,
-    RunSpec,
-    default_cache_dir,
-)
+from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
 from repro.obs.metrics import MetricsRegistry, process_registry
 from repro.resilience.faults import get_injector
 from repro.resilience.storage import durable_replace
@@ -60,7 +55,7 @@ from repro.service.rpc import (
     ServiceError,
     make_server,
 )
-from repro.store import FsStore, get_store
+from repro.store import FsStore, get_store, local_root
 from repro.system.results import RunResult
 from repro.trace.workloads import WORKLOADS
 
@@ -69,11 +64,12 @@ DEFAULT_PORT = 8673
 
 
 def service_state_dir() -> Path:
-    """``$REPRO_SERVICE_DIR``, else ``service/`` beside the result cache."""
+    """``$REPRO_SERVICE_DIR``, else ``service/`` under the store's local
+    root (:func:`repro.store.local_root`)."""
     env = os.environ.get("REPRO_SERVICE_DIR", "")
     if env:
         return Path(env)
-    return default_cache_dir() / "service"
+    return local_root() / "service"
 
 
 def _parse_one_spec(payload, index: int) -> RunSpec:

@@ -6,10 +6,9 @@ content-derived key (``results/<digest>.json``, ``traces/<digest>.bin``).
 This package defines the one narrow interface the caches talk to
 (:class:`BlobStore`) and its two backends:
 
-* :class:`FsStore` — the on-disk layout the repository has always used,
-  bit-compatible with existing ``REPRO_CACHE_DIR`` /
-  ``REPRO_TRACE_CACHE_DIR`` trees (two-hex-char fan-out directories,
-  ``quarantine/`` beside each root, crash-atomic fsync'd writes);
+* :class:`FsStore` — one local directory tree (two-hex-char fan-out
+  directories, traces under ``traces/``, ``quarantine/`` beside each
+  namespace, crash-atomic fsync'd writes);
 * :class:`HttpStore` — a client for the blob endpoints of a running
   ``repro serve`` instance, so one service is a whole fleet's shared
   warm cache with zero new dependencies (hardened with seeded retries,
@@ -38,10 +37,11 @@ from repro.store.base import (
 from repro.store.config import (
     configure_store,
     get_store,
+    local_root,
     parse_store_url,
     store_url,
 )
-from repro.store.fs import FsStore, default_result_root, default_trace_root
+from repro.store.fs import FsStore, default_result_root
 from repro.store.http import HttpStore, StoreUnavailableError
 from repro.store.tiered import TieredStore
 
@@ -57,8 +57,8 @@ __all__ = [
     "TieredStore",
     "configure_store",
     "default_result_root",
-    "default_trace_root",
     "get_store",
+    "local_root",
     "parse_store_url",
     "split_key",
     "store_url",

@@ -22,10 +22,11 @@ describes the remote leg and is handed to it unchanged.
 ``REPRO_STORE`` so every engine this process builds — and every pool
 worker it forks — resolves the same store.  ``get_store`` is the single
 lookup the caches use: the configured store if its URL still matches
-the environment, else whatever ``REPRO_STORE`` names, else the default
-:class:`~repro.store.fs.FsStore` honouring the legacy
-``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` variables (which remain
-as deprecated aliases of a ``file://`` store).
+the environment, else whatever ``REPRO_STORE`` names, else an
+:class:`~repro.store.fs.FsStore` at ``~/.cache/repro``.  A store URL is
+the only way to say where blobs live: a local store keeps its traces
+under ``<root>/traces``, so the URL alone rebuilds the same store in a
+pool worker.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from repro.store.base import BlobStore, StoreError
-from repro.store.fs import FsStore
+from repro.store.fs import FsStore, default_result_root
 from repro.store.http import HttpStore
 
 
@@ -136,3 +137,20 @@ def get_store() -> BlobStore:
     if env:
         return parse_store_url(env)
     return FsStore()
+
+
+def cache_enabled() -> bool:
+    """``REPRO_CACHE=0`` turns off both caches over the store."""
+    return os.environ.get("REPRO_CACHE", "1") != "0"
+
+
+def local_root(store: Optional[BlobStore] = None) -> Path:
+    """The local directory of ``store`` (default: the store in effect).
+
+    An :class:`FsStore`'s root, a tiered store's local tier, else (a
+    remote store) the default root — where the default sweep journal
+    and service state live.
+    """
+    store = store if store is not None else get_store()
+    root = getattr(getattr(store, "local", store), "root", None)
+    return Path(root) if root is not None else default_result_root()

@@ -1,29 +1,31 @@
-"""``FsStore``: the filesystem blob store (today's cache layout, verbatim).
+"""``FsStore``: the filesystem blob store.
 
-Bit-compatibility is the point: an ``FsStore`` pointed at an existing
-``REPRO_CACHE_DIR`` tree serves and extends it unchanged —
+One root holds every namespace —
 
 * ``results/<digest>.json``  ->  ``<root>/<digest[:2]>/<digest>.json``
-* ``traces/<digest>.bin``    ->  ``<trace root>/<digest[:2]>/<digest>.bin``
-  (``$REPRO_TRACE_CACHE_DIR`` if set, else ``traces/`` under the root,
-  exactly as before)
+* ``traces/<digest>.bin``    ->  ``<root>/traces/<digest[:2]>/<digest>.bin``
 
-with the same crash-atomic fsync'd writes
-(:func:`repro.resilience.storage.durable_replace`), the same
-``quarantine/`` + ``MANIFEST.jsonl`` evidence trail, and the same
-``GC_MANIFEST.jsonl`` eviction log ``repro doctor`` has always used.
+with crash-atomic fsync'd writes
+(:func:`repro.resilience.storage.durable_replace`), a ``quarantine/`` +
+``MANIFEST.jsonl`` evidence trail and a ``GC_MANIFEST.jsonl`` eviction
+log per namespace.
 Any other namespace maps to ``<root>/<namespace>/``.
+
+Only two-lowercase-hex-char fan-out directories hold blobs, so anything
+else sharing the root — ``traces/``, ``quarantine/``, a ``repro serve``
+state directory, a sweep journal — is never listed, audited or
+quarantined as a blob.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.resilience.storage import (
-    QUARANTINE_DIRNAME,
     durable_replace,
     quarantine_dir,
     quarantine_file,
@@ -39,22 +41,20 @@ from repro.store.base import (
 
 GC_MANIFEST_NAME = "GC_MANIFEST.jsonl"
 
+_FANOUT = re.compile(r"[0-9a-f]{2}")
+
 
 def default_result_root() -> Path:
-    """``$REPRO_CACHE_DIR``, else ``~/.cache/repro``."""
-    env = os.environ.get("REPRO_CACHE_DIR", "")
-    if env:
-        return Path(env)
+    """``~/.cache/repro``: the root of the store when none is named."""
     return Path(os.path.expanduser("~")) / ".cache" / "repro"
 
 
-def default_trace_root(result_root: Optional[Path] = None) -> Path:
-    """``$REPRO_TRACE_CACHE_DIR``, else ``traces/`` under the result root."""
-    env = os.environ.get("REPRO_TRACE_CACHE_DIR", "")
-    if env:
-        return Path(env)
-    root = result_root if result_root is not None else default_result_root()
-    return Path(root) / "traces"
+def _fanout_dirs(nsroot: Path) -> List[Path]:
+    """The namespace's blob directories, sorted (never quarantine etc.)."""
+    if not nsroot.is_dir():
+        return []
+    return [child for child in sorted(nsroot.iterdir())
+            if _FANOUT.fullmatch(child.name) and child.is_dir()]
 
 
 def _is_under(path: Path, ancestor: Path) -> bool:
@@ -66,25 +66,16 @@ def _is_under(path: Path, ancestor: Path) -> bool:
 
 
 class FsStore(BlobStore):
-    """Blob storage over a local directory tree (see module docstring).
+    """Blob storage over one local directory tree (see module docstring)."""
 
-    ``root`` holds the ``results`` namespace (and any future ones);
-    ``trace_root`` holds ``traces`` and defaults to the historical
-    location so existing trees keep working.
-    """
-
-    def __init__(self, root=None, trace_root=None):
+    def __init__(self, root=None):
         self.root = Path(root) if root is not None else default_result_root()
-        self.trace_root = (Path(trace_root) if trace_root is not None
-                           else default_trace_root(self.root))
 
     # -- key -> path ---------------------------------------------------------
 
     def namespace_root(self, namespace: str) -> Path:
         if namespace == NAMESPACE_RESULTS:
             return self.root
-        if namespace == NAMESPACE_TRACES:
-            return self.trace_root
         return self.root / namespace
 
     def local_path(self, key: str) -> Path:
@@ -128,18 +119,12 @@ class FsStore(BlobStore):
     def list(self, prefix: str = "") -> List[str]:
         keys: List[str] = []
         for namespace in self._namespaces(prefix):
-            nsroot = self.namespace_root(namespace)
-            if not nsroot.is_dir():
-                continue
-            skip = (self.trace_root if namespace == NAMESPACE_RESULTS
-                    and _is_under(self.trace_root, self.root) else None)
-            for child in sorted(nsroot.iterdir()):
-                if not child.is_dir() or child.name == QUARANTINE_DIRNAME:
-                    continue
-                if skip is not None and _is_under(child, skip):
-                    continue
+            for child in _fanout_dirs(self.namespace_root(namespace)):
                 for path in sorted(child.iterdir()):
-                    if not path.is_file() or path.name.endswith(".tmp"):
+                    # A misfiled blob is no key's blob (get() cannot
+                    # reach it); structural_check reports it instead.
+                    if (not path.is_file() or path.name.endswith(".tmp")
+                            or path.name[:2] != child.name):
                         continue
                     key = f"{namespace}/{path.name}"
                     if key.startswith(prefix):
@@ -172,18 +157,9 @@ class FsStore(BlobStore):
 
     def orphans(self, namespace: str) -> List[str]:
         nsroot = self.namespace_root(namespace)
-        if not nsroot.is_dir():
-            return []
-        skip = (self.trace_root if namespace == NAMESPACE_RESULTS
-                and _is_under(self.trace_root, nsroot) else None)
-        found = []
-        for path in nsroot.rglob("*.tmp"):
-            if QUARANTINE_DIRNAME in path.parts:
-                continue
-            if skip is not None and _is_under(path, skip):
-                continue
-            found.append(str(path.relative_to(nsroot)))
-        return sorted(found)
+        return [str(path.relative_to(nsroot))
+                for child in _fanout_dirs(nsroot)
+                for path in sorted(child.glob("*.tmp"))]
 
     def remove_orphan(self, namespace: str, name: str) -> bool:
         nsroot = self.namespace_root(namespace)
@@ -200,15 +176,7 @@ class FsStore(BlobStore):
         """Blobs filed in a fan-out directory other than ``name[:2]``."""
         nsroot = self.namespace_root(namespace)
         problems: List[str] = []
-        if not nsroot.is_dir():
-            return problems
-        skip = (self.trace_root if namespace == NAMESPACE_RESULTS
-                and _is_under(self.trace_root, nsroot) else None)
-        for child in sorted(nsroot.iterdir()):
-            if not child.is_dir() or child.name == QUARANTINE_DIRNAME:
-                continue
-            if skip is not None and _is_under(child, skip):
-                continue
+        for child in _fanout_dirs(nsroot):
             for path in sorted(child.iterdir()):
                 if not path.is_file() or path.name.endswith(".tmp"):
                     continue

@@ -71,8 +71,7 @@ class TieredStore(BlobStore):
                  budget_bytes: Optional[int] = None):
         self.remote = remote
         self.local_dir = Path(local_dir)
-        cache_root = self.local_dir / "cache"
-        self.local = FsStore(cache_root, trace_root=cache_root / "traces")
+        self.local = FsStore(self.local_dir / "cache")
         self.budget_bytes = budget_bytes
         self._spool_dir = self.local_dir / "spool"
         self._spool_dir.mkdir(parents=True, exist_ok=True)

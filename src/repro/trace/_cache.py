@@ -12,9 +12,8 @@ generators.  The cache shares the result cache's pluggable blob store
   :data:`~repro.trace.packed.FORMAT_VERSION` — bumping the format
   version (or changing any recipe axis) addresses a different entry.
 * **Location.** Whatever :func:`repro.store.get_store` resolves
-  (``--store`` / ``REPRO_STORE``); the default ``FsStore`` keeps the
-  historical tree — ``$REPRO_TRACE_CACHE_DIR`` if set, else ``traces/``
-  under the result-cache root.  On a local store, reads keep the
+  (``--store`` / ``REPRO_STORE``); a local ``FsStore`` keeps traces
+  under ``<root>/traces``.  On a local store, reads keep the
   zero-copy mmap fast path; on an ``HttpStore`` the packed bytes are
   fetched and parsed in memory, so a fleet shares one warm trace cache.
 * **Degradation.** A corrupt or truncated blob is a miss: it is
@@ -23,42 +22,24 @@ generators.  The cache shares the result cache's pluggable blob store
   counters), then the trace is rebuilt from the generators and the
   entry rewritten (atomically and durably, so concurrent builders and
   mid-write kills never produce torn files).
-* **Switches.** ``REPRO_TRACE_CACHE=0`` disables just this cache;
-  ``REPRO_CACHE=0`` disables it along with the result cache.
-
-The ``root`` path argument of :class:`TraceCache` is deprecated the
-same way as ``ResultCache(root=...)``: it pins an
-:class:`~repro.store.FsStore` whose trace root is that path.
+* **Switch.** ``REPRO_CACHE=0`` disables it along with the result
+  cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import warnings
 from pathlib import Path
 from typing import Optional
 
 from repro.common.errors import SimulationError
 from repro.resilience.faults import SITE_TRACE_CORRUPT, get_injector
 from repro.resilience.log import warn as resilience_warn
-from repro.store import NAMESPACE_TRACES, BlobStore, FsStore, get_store
-from repro.store.fs import default_trace_root
+from repro.store import NAMESPACE_TRACES, BlobStore, get_store
+from repro.store.config import cache_enabled
 from repro.trace.packed import FORMAT_VERSION, PackedTrace
 from repro.trace.workloads import build_streams
-
-
-def trace_cache_dir() -> Path:
-    """The local trace tree of the default filesystem store (legacy)."""
-    return default_trace_root()
-
-
-def trace_cache_enabled() -> bool:
-    own = os.environ.get("REPRO_TRACE_CACHE", "")
-    if own:
-        return own != "0"
-    return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
 def trace_digest(workload: str, cores: int, per_core: int, seed: int) -> str:
@@ -76,20 +57,10 @@ def trace_digest(workload: str, cores: int, per_core: int, seed: int) -> str:
 class TraceCache:
     """Mirror of the engine's ``ResultCache``, holding packed binaries."""
 
-    def __init__(self, root: Optional[Path] = None,
-                 enabled: Optional[bool] = None,
-                 store: Optional[BlobStore] = None):
-        if root is not None:
-            if store is not None:
-                raise TypeError("pass either root= (deprecated) or store=, "
-                                "not both")
-            warnings.warn(
-                "TraceCache(root=...) is deprecated; pass "
-                "store=FsStore(trace_root=root) or configure_store(...)",
-                DeprecationWarning, stacklevel=2)
-            store = FsStore(trace_root=Path(root))
+    def __init__(self, *, store: Optional[BlobStore] = None,
+                 enabled: Optional[bool] = None):
         self._store = store
-        self.enabled = trace_cache_enabled() if enabled is None else enabled
+        self.enabled = cache_enabled() if enabled is None else enabled
         self.hits = 0
         self.misses = 0
         self.built = 0
@@ -100,11 +71,6 @@ class TraceCache:
         """The backend in effect (pinned at construction, else the
         process-wide :func:`repro.store.get_store` resolved per use)."""
         return self._store if self._store is not None else get_store()
-
-    @property
-    def root(self) -> Optional[Path]:
-        """The local trace tree, when the backend has one (legacy)."""
-        return getattr(self.store, "trace_root", None)
 
     @staticmethod
     def key_for(workload: str, cores: int, per_core: int, seed: int) -> str:

@@ -17,7 +17,7 @@ directions, and the conversion re-validates every record through the
 ``MemAccess`` constructor (the ``addr < 0`` path included).
 
 Bump :data:`FORMAT_VERSION` whenever the binary layout changes; the
-trace cache (:mod:`repro.trace.cache`) keys entries by it, so stale
+trace cache (:mod:`repro.trace._cache`) keys entries by it, so stale
 files simply become unreachable.
 """
 

@@ -259,7 +259,7 @@ class TestCommonFlags:
         for cmd in ("run", "report", "bench", "check", "events", "verify",
                     "compare", "replay", "trace", "inspect", "list"):
             argv = [cmd, "--jobs", "2", "--seed", "3", "--protocol", "mesi",
-                    "--trace-dir", "/tmp/t"]
+                    "--store", "/tmp/t"]
             if cmd in ("run", "trace", "compare"):
                 argv += ["--workload", "kmeans"]
             if cmd == "trace":
@@ -267,7 +267,7 @@ class TestCommonFlags:
             if cmd == "replay":
                 argv += ["--trace", "x.trace"]
             args = parser.parse_args(argv)
-            assert (args.jobs, args.seed, args.protocol, args.trace_dir) == \
+            assert (args.jobs, args.seed, args.protocol, args.store) == \
                 (2, 3, "mesi", "/tmp/t"), cmd
 
     def test_per_command_protocol_defaults(self):
@@ -281,15 +281,19 @@ class TestCommonFlags:
         assert parser.parse_args(["verify"]).protocol == ""
         assert parser.parse_args(["check"]).protocol == ""
 
-    def test_trace_dir_flag_exports_env(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
-        target = tmp_path / "traces"
-        rc = main(["run", "--workload", "histogram", "--scale", "50",
-                   "--cores", "2", "--trace-dir", str(target)])
-        assert rc == 0
+    def test_store_flag_exports_env(self, monkeypatch, capsys, tmp_path):
         import os
-        assert os.environ["REPRO_TRACE_CACHE_DIR"] == str(target)
-        assert any(target.iterdir())  # the packed trace landed there
+
+        import repro.store.config as store_config
+
+        monkeypatch.setattr(store_config, "_CONFIGURED", (None, None))
+        monkeypatch.setenv("REPRO_STORE", os.environ["REPRO_STORE"])
+        rc = main(["run", "--workload", "histogram", "--scale", "50",
+                   "--cores", "2", "--store", str(tmp_path)])
+        assert rc == 0
+        assert os.environ["REPRO_STORE"] == f"file://{tmp_path}"
+        # The packed trace landed in the store's own trace tree.
+        assert any((tmp_path / "traces").rglob("*.bin"))
 
 
 class TestVersion:
@@ -338,9 +342,11 @@ class TestServiceCommands:
         from repro.experiments._engine import ExperimentEngine, ResultCache
         from repro.service.app import SweepService
         from repro.service.rpc import make_server
+        from repro.store import FsStore
 
         engine = ExperimentEngine(
-            jobs=1, cache=ResultCache(tmp_path / "cache", enabled=True))
+            jobs=1, cache=ResultCache(store=FsStore(tmp_path / "cache"),
+                                      enabled=True))
         service = SweepService(state_dir=tmp_path / "state", engine=engine,
                                idle_poll_s=0.05).start()
         server = make_server(service, port=0)

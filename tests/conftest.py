@@ -9,38 +9,26 @@ from repro.system.machine import build_protocol
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _hermetic_result_cache(tmp_path_factory):
-    """Point the experiment engine's persistent cache at a session tempdir.
+def _hermetic_store(tmp_path_factory):
+    """Point every cache at a session scratch store, ``HOME`` at a tempdir.
 
     Tests must neither read stale entries from nor write entries into the
-    user's real ``~/.cache/repro``.
+    user's real ``~/.cache/repro``.  The session ``REPRO_STORE`` holds
+    results and traces; ``HOME`` is redirected so a code path that drops
+    ``REPRO_STORE`` and falls back to the default root lands in a
+    tempdir, and teardown fails the session if it did.
     """
-    import os
+    home = tmp_path_factory.mktemp("home")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("HOME", str(home))
+        patch.setenv("REPRO_STORE",
+                     str(tmp_path_factory.mktemp("repro-store")))
+        yield
+    leaked = home / ".cache" / "repro"
+    assert not leaked.exists(), (
+        f"a test fell back to the default store root {leaked}: "
+        f"{sorted(p.name for p in leaked.rglob('*'))[:10]}")
 
-    old = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
-    yield
-    if old is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = old
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _hermetic_trace_cache(tmp_path_factory):
-    """Point the packed trace cache at a session tempdir (same contract as
-    the result-cache fixture: no reads from or writes to the user's real
-    ``~/.cache/repro/traces``)."""
-    import os
-
-    old = os.environ.get("REPRO_TRACE_CACHE_DIR")
-    os.environ["REPRO_TRACE_CACHE_DIR"] = str(
-        tmp_path_factory.mktemp("repro-trace-cache"))
-    yield
-    if old is None:
-        os.environ.pop("REPRO_TRACE_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_TRACE_CACHE_DIR"] = old
 
 @pytest.fixture(scope="session", autouse=True)
 def _hermetic_resilience_env():

@@ -17,6 +17,7 @@ from pathlib import Path
 import repro
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+from repro.store import FsStore
 from repro.resilience.storage import QUARANTINE_DIRNAME
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
@@ -30,6 +31,7 @@ CHILD = textwrap.dedent("""\
 
     from repro.common.params import ProtocolKind
     from repro.experiments._engine import ResultCache, RunSpec
+    from repro.store import FsStore
     from repro.system.results import RunResult
 
     spec = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
@@ -37,7 +39,7 @@ CHILD = textwrap.dedent("""\
     with open({blob!r}, encoding="utf-8") as fh:
         expected = json.load(fh)
     result = RunResult.from_dict(expected)
-    cache = ResultCache({root!r}, enabled=True)
+    cache = ResultCache(store=FsStore({root!r}), enabled=True)
     for _ in range(200):
         cache.put(spec, result)
         seen = cache.get(spec)
@@ -58,7 +60,8 @@ class TestConcurrentAccess:
 
         # Seed one real result so both children write identical bytes.
         with ExperimentEngine(jobs=1,
-                              cache=ResultCache(root, enabled=True)) as engine:
+                              cache=ResultCache(store=FsStore(root),
+                                                enabled=True)) as engine:
             result = engine.run(SPEC)
         blob_path.write_text(json.dumps(result.to_dict()), encoding="utf-8")
 
@@ -75,6 +78,6 @@ class TestConcurrentAccess:
         assert not (root / QUARANTINE_DIRNAME).exists()
 
         # The surviving entry parses and matches the seeded result.
-        final = ResultCache(root, enabled=True).get(SPEC)
+        final = ResultCache(store=FsStore(root), enabled=True).get(SPEC)
         assert final is not None
         assert final.to_dict() == result.to_dict()

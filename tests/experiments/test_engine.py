@@ -14,6 +14,7 @@ from repro.experiments._engine import (
     execute_spec,
 )
 from repro.experiments.runner import ALL_PROTOCOLS, ExperimentSettings, ResultMatrix
+from repro.store import FsStore
 from repro.system.results import RunResult
 
 WORKLOADS = ("kmeans", "histogram")
@@ -110,7 +111,8 @@ class TestParallelParity:
         specs = specs_for()
         serial = {spec: execute_spec(spec) for spec in specs}
         with ExperimentEngine(jobs=2,
-                              cache=ResultCache(tmp_path, enabled=True)) as engine:
+                              cache=ResultCache(store=FsStore(tmp_path),
+                                                enabled=True)) as engine:
             parallel = engine.run_many(specs)
         assert engine.executed == len(specs)
         assert set(parallel) == set(serial)
@@ -123,7 +125,8 @@ class TestParallelParity:
     def test_pool_persists_across_run_many_calls(self, tmp_path):
         """One engine, many batches: the worker pool is created once."""
         with ExperimentEngine(jobs=2,
-                              cache=ResultCache(tmp_path, enabled=True)) as engine:
+                              cache=ResultCache(store=FsStore(tmp_path),
+                                                enabled=True)) as engine:
             pool = engine.warm_pool()
             assert pool is not None
             engine.run_many(specs_for(per_core=60))
@@ -134,7 +137,8 @@ class TestParallelParity:
 
     def test_serial_engine_never_creates_a_pool(self, tmp_path):
         engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(tmp_path, enabled=True))
+                                  cache=ResultCache(store=FsStore(tmp_path),
+                                                    enabled=True))
         assert engine.warm_pool() is None
         engine.run_many(specs_for(per_core=60))
         assert engine._pool is None
@@ -142,7 +146,8 @@ class TestParallelParity:
 
     def test_close_is_idempotent_and_pool_recreates(self, tmp_path):
         engine = ExperimentEngine(jobs=2,
-                                  cache=ResultCache(tmp_path, enabled=True))
+                                  cache=ResultCache(store=FsStore(tmp_path),
+                                                    enabled=True))
         first = engine.warm_pool()
         engine.close()
         engine.close()
@@ -155,7 +160,8 @@ class TestParallelParity:
         spec = RunSpec("kmeans", ProtocolKind.MESI, cores=4, per_core=120)
         other = RunSpec("histogram", ProtocolKind.MESI, cores=4, per_core=120)
         with ExperimentEngine(jobs=2,
-                              cache=ResultCache(tmp_path, enabled=True)) as engine:
+                              cache=ResultCache(store=FsStore(tmp_path),
+                                                enabled=True)) as engine:
             engine.run_many([spec, other])
         blob = engine.cache.path_for(spec).read_text()
         local = execute_spec(spec)
@@ -163,9 +169,11 @@ class TestParallelParity:
 
     def test_warm_sweep_is_pure_cache_hits(self, tmp_path):
         specs = specs_for()
-        cold = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path, enabled=True))
+        cold = ExperimentEngine(
+            jobs=1, cache=ResultCache(store=FsStore(tmp_path), enabled=True))
         first = cold.run_many(specs)
-        warm = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path, enabled=True))
+        warm = ExperimentEngine(
+            jobs=1, cache=ResultCache(store=FsStore(tmp_path), enabled=True))
         second = warm.run_many(specs)
         assert warm.executed == 0
         assert warm.cache.hits == len(specs)
@@ -175,7 +183,7 @@ class TestParallelParity:
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
-        cache = ResultCache(tmp_path, enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path), enabled=True)
         spec = RunSpec("kmeans", ProtocolKind.MESI, cores=4, per_core=100)
         assert cache.get(spec) is None
         result = execute_spec(spec)
@@ -185,14 +193,14 @@ class TestResultCache:
         assert hit.stats.to_dict() == result.stats.to_dict()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path, enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path), enabled=True)
         spec = RunSpec("kmeans", ProtocolKind.MESI, cores=4, per_core=100)
         cache.put(spec, execute_spec(spec))
         cache.path_for(spec).write_text("{ not json")
         assert cache.get(spec) is None
 
     def test_disabled_cache_never_touches_disk(self, tmp_path):
-        cache = ResultCache(tmp_path, enabled=False)
+        cache = ResultCache(store=FsStore(tmp_path), enabled=False)
         spec = RunSpec("kmeans", ProtocolKind.MESI, cores=4, per_core=100)
         cache.put(spec, execute_spec(spec))
         assert cache.get(spec) is None
@@ -200,11 +208,11 @@ class TestResultCache:
 
     def test_repro_cache_env_disables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(store=FsStore(tmp_path))
         assert cache.enabled is False
 
     def test_layout_fans_out_by_digest_prefix(self, tmp_path):
-        cache = ResultCache(tmp_path, enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path), enabled=True)
         spec = RunSpec("kmeans", ProtocolKind.MESI, cores=4, per_core=100)
         cache.put(spec, execute_spec(spec))
         digest = spec.digest()
@@ -217,12 +225,14 @@ class TestMatrixOnEngine:
                                       workloads=WORKLOADS)
         swept = ResultMatrix(
             settings,
-            engine=ExperimentEngine(jobs=2, cache=ResultCache(tmp_path / "a",
-                                                              enabled=True)))
+            engine=ExperimentEngine(
+                jobs=2, cache=ResultCache(store=FsStore(tmp_path / "a"),
+                                          enabled=True)))
         celled = ResultMatrix(
             settings,
-            engine=ExperimentEngine(jobs=1, cache=ResultCache(tmp_path / "b",
-                                                              enabled=True)))
+            engine=ExperimentEngine(
+                jobs=1, cache=ResultCache(store=FsStore(tmp_path / "b"),
+                                          enabled=True)))
         out = swept.sweep()
         for (name, protocol), result in out.items():
             other = celled.run(name, protocol)
@@ -233,8 +243,9 @@ class TestMatrixOnEngine:
                                       workloads=("kmeans",))
         matrix = ResultMatrix(
             settings,
-            engine=ExperimentEngine(jobs=1, cache=ResultCache(tmp_path,
-                                                              enabled=True)))
+            engine=ExperimentEngine(
+                jobs=1, cache=ResultCache(store=FsStore(tmp_path),
+                                          enabled=True)))
         a = matrix.run("kmeans", ProtocolKind.MESI)
         b = matrix.run("kmeans", ProtocolKind.MESI)
         assert a is b
@@ -252,7 +263,8 @@ class TestWorkerMetrics:
         monkeypatch.setenv("REPRO_OBS", "1")
         specs = specs_for(per_core=60)
         engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(tmp_path, enabled=True))
+                                  cache=ResultCache(store=FsStore(tmp_path),
+                                                    enabled=True))
         results = engine.run_many(specs)
         expected = sum(r.stats.accesses for r in results.values())
         assert self.accesses_counter_total(engine) == expected
@@ -261,7 +273,8 @@ class TestWorkerMetrics:
         monkeypatch.setenv("REPRO_OBS", "1")
         specs = specs_for(per_core=60)
         with ExperimentEngine(jobs=2,
-                              cache=ResultCache(tmp_path, enabled=True)) as engine:
+                              cache=ResultCache(store=FsStore(tmp_path),
+                                                enabled=True)) as engine:
             results = engine.run_many(specs)
         assert engine.executed == len(specs)
         expected = sum(r.stats.accesses for r in results.values())
@@ -271,10 +284,12 @@ class TestWorkerMetrics:
         monkeypatch.setenv("REPRO_OBS", "1")
         spec = RunSpec("kmeans", ProtocolKind.MESI, cores=4, per_core=60)
         warm = ExperimentEngine(jobs=1,
-                                cache=ResultCache(tmp_path, enabled=True))
+                                cache=ResultCache(store=FsStore(tmp_path),
+                                                  enabled=True))
         warm.run(spec)
         read_back = ExperimentEngine(jobs=1,
-                                     cache=ResultCache(tmp_path, enabled=True))
+                                     cache=ResultCache(store=FsStore(tmp_path),
+                                                       enabled=True))
         result = read_back.run(spec)
         assert read_back.executed == 0  # pure cache hit
         assert self.accesses_counter_total(read_back) == result.stats.accesses
@@ -282,7 +297,8 @@ class TestWorkerMetrics:
     def test_without_obs_engine_metrics_stay_empty(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_OBS", raising=False)
         engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(tmp_path, enabled=True))
+                                  cache=ResultCache(store=FsStore(tmp_path),
+                                                    enabled=True))
         engine.run_many(specs_for(per_core=60))
         assert len(engine.metrics) == 0
 
@@ -290,9 +306,12 @@ class TestWorkerMetrics:
         monkeypatch.setenv("REPRO_OBS", "1")
         specs = specs_for(per_core=60)
         serial = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(tmp_path / "s", enabled=True))
+                                  cache=ResultCache(
+                                      store=FsStore(tmp_path / "s"),
+                                      enabled=True))
         serial.run_many(specs)
         with ExperimentEngine(jobs=2,
-                              cache=ResultCache(tmp_path / "p", enabled=True)) as pooled:
+                              cache=ResultCache(store=FsStore(tmp_path / "p"),
+                                                enabled=True)) as pooled:
             pooled.run_many(specs)
         assert serial.metrics.counters() == pooled.metrics.counters()

@@ -24,11 +24,12 @@ class TestMatrixJson:
             ResultCache,
             RunSpec,
         )
+        from repro.store import FsStore
 
         specs = [RunSpec("histogram", ProtocolKind.MESI, cores=2, per_core=60),
                  RunSpec("histogram", ProtocolKind.PROTOZOA_MW, cores=2,
                          per_core=60)]
-        cache = ResultCache(tmp_path, enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path), enabled=True)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             results = engine.run_many(specs)
         forward = matrix_json(results)

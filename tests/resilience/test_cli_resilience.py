@@ -7,37 +7,41 @@ import pytest
 from repro.cli import main
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+from repro.store import FsStore
 
 
 def seed_cache(root):
     spec = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
                    cores=2, per_core=60, seed=0)
-    cache = ResultCache(root, enabled=True)
+    cache = ResultCache(store=FsStore(root), enabled=True)
     with ExperimentEngine(jobs=1, cache=cache) as engine:
         engine.run(spec)
     return cache.path_for(spec)
 
 
 class TestDoctorCommand:
+    @pytest.fixture(autouse=True)
+    def _store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "cache"))
+
     def test_healthy_cache_exits_zero(self, tmp_path, capsys):
         seed_cache(tmp_path / "cache")
-        rc = main(["doctor", "--cache-dir", str(tmp_path / "cache")])
+        rc = main(["doctor"])
         assert rc == 0
         assert "all checks passed" in capsys.readouterr().out
 
     def test_corrupt_cache_exits_nonzero(self, tmp_path, capsys):
         blob = seed_cache(tmp_path / "cache")
         blob.write_bytes(b"\xde\xad not json")
-        rc = main(["doctor", "--cache-dir", str(tmp_path / "cache")])
+        rc = main(["doctor"])
         assert rc == 1
         assert "PROBLEMS FOUND" in capsys.readouterr().out
 
     def test_fix_repairs_and_subsequent_audit_passes(self, tmp_path, capsys):
         blob = seed_cache(tmp_path / "cache")
         blob.write_bytes(b"\xde\xad not json")
-        assert main(["doctor", "--cache-dir", str(tmp_path / "cache"),
-                     "--fix"]) == 0
-        assert main(["doctor", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert main(["doctor", "--fix"]) == 0
+        assert main(["doctor"]) == 0
         capsys.readouterr()
 
 

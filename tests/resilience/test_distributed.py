@@ -27,9 +27,8 @@ SUMMARY = re.compile(
 def _worker_env(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC_DIR,
                REPRO_WORKLOADS="histogram",
-               REPRO_TRACE_CACHE_DIR=str(tmp_path / "traces"))
+               REPRO_STORE=str(tmp_path / "store"))
     env.pop("REPRO_FAULTS", None)
-    env.pop("REPRO_STORE", None)
     env.pop("REPRO_OBS", None)
     return env
 
@@ -50,7 +49,7 @@ def _report_argv(out, journal=None, store=None):
 def _run_reference(tmp_path):
     """The single-process report every multi-worker run must reproduce."""
     env = _worker_env(tmp_path)
-    env["REPRO_CACHE_DIR"] = str(tmp_path / "ref-cache")
+    env["REPRO_STORE"] = str(tmp_path / "ref-cache")
     out = tmp_path / "ref.txt"
     done = subprocess.run(_report_argv(out), env=env, capture_output=True,
                           text=True, timeout=600)

@@ -35,7 +35,7 @@ def verdict(checks):
 @pytest.fixture()
 def backing(tmp_path):
     """One FsStore holding a real result blob and a real packed trace."""
-    store = FsStore(tmp_path / "cache", trace_root=tmp_path / "traces")
+    store = FsStore(tmp_path / "cache")
     with ExperimentEngine(jobs=1, cache=ResultCache(store=store,
                                                     enabled=True)) as engine:
         engine.run(SPEC)
@@ -127,26 +127,37 @@ class TestStoreAudit:
         assert report.ok
         assert any("GC" in check.name for check in report.checks)
 
+    def test_service_state_dir_under_root_is_not_audited(self, store,
+                                                         backing):
+        """``repro serve`` keeps its state under ``<root>/service``: its
+        queue journal is no misfiled blob and its temp files are no
+        cache orphans, so ``--fix`` must leave both in place."""
+        state = backing.root / "service"
+        state.mkdir()
+        queue = state / "queue.jsonl"
+        queue.write_text('{"id": "job-1"}\n')
+        tmp = state / "x.tmp"
+        tmp.write_bytes(b"in-flight")
+        assert run_store_doctor(store).ok
+        assert run_store_doctor(store, fix=True).ok
+        assert queue.read_text() == '{"id": "job-1"}\n'
+        assert tmp.exists()
+        assert store.quarantine_inventory("results")["files"] == []
+
 
 class TestDoctorCli:
     @pytest.fixture(autouse=True)
-    def _hermetic_trace_root(self, backing, monkeypatch):
-        # `--store file://<root>` resolves its trace namespace from the
-        # environment; pin it to this test's tree.  The CLI's
-        # configure_store exports REPRO_STORE process-wide — undo that
-        # so later tests resolve their own stores.
+    def _restore_store(self, monkeypatch):
+        # The CLI's configure_store exports REPRO_STORE process-wide —
+        # undo that so later tests resolve their own stores.
         import os
 
         import repro.store.config as store_config
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(backing.trace_root))
-        saved = (os.environ.get("REPRO_STORE"), store_config._CONFIGURED)
+        monkeypatch.setenv("REPRO_STORE", os.environ["REPRO_STORE"])
+        saved = store_config._CONFIGURED
         yield
-        store_config._CONFIGURED = saved[1]
-        if saved[0] is None:
-            os.environ.pop("REPRO_STORE", None)
-        else:
-            os.environ["REPRO_STORE"] = saved[0]
+        store_config._CONFIGURED = saved
 
     def test_doctor_store_flag(self, backing, capsys):
         from repro.cli import main
@@ -163,3 +174,17 @@ class TestDoctorCli:
         assert main(["doctor", "--store", f"file://{backing.root}"]) == 1
         assert main(["doctor", "--store", f"file://{backing.root}",
                      "--fix"]) == 0
+
+    def test_plain_doctor_fix_audits_repro_store(self, backing, capsys,
+                                                 monkeypatch):
+        """Without --store the doctor audits the store REPRO_STORE names,
+        leaving a service state dir under its root untouched."""
+        from repro.cli import main
+
+        queue = backing.root / "service" / "queue.jsonl"
+        queue.parent.mkdir()
+        queue.write_text("{}\n")
+        monkeypatch.setenv("REPRO_STORE", str(backing.root))
+        assert main(["doctor", "--fix"]) == 0
+        assert f"result store file://{backing.root}" in capsys.readouterr().out
+        assert queue.exists()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+from repro.store import FsStore
 from repro.obs.metrics import process_registry
 from repro.resilience.faults import reset_injector
 from repro.resilience.retry import RetryPolicy
@@ -29,7 +30,8 @@ def small_specs(n=4):
 def reference(tmp_path_factory):
     """Fault-free serial results to compare every faulted run against."""
     specs = small_specs()
-    cache = ResultCache(tmp_path_factory.mktemp("ref-cache"), enabled=True)
+    cache = ResultCache(store=FsStore(tmp_path_factory.mktemp("ref-cache")),
+                        enabled=True)
     with ExperimentEngine(jobs=1, cache=cache) as engine:
         results = engine.run_many(specs)
     return specs, {spec.digest(): result.to_dict()
@@ -56,7 +58,7 @@ class TestWorkerCrash:
         it and the retried sweep matches the fault-free reference."""
         specs, expected = reference
         arm(monkeypatch, tmp_path, "worker-kill:n=1")
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         with ExperimentEngine(jobs=2, cache=cache,
                               retry=RetryPolicy(backoff_base_s=0.01)) as engine:
             results = engine.run_many(specs)
@@ -70,7 +72,7 @@ class TestWorkerCrash:
                                                     tmp_path, reference):
         specs, expected = reference
         arm(monkeypatch, tmp_path, "worker-exc:n=1")
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         with ExperimentEngine(jobs=2, cache=cache,
                               retry=RetryPolicy(backoff_base_s=0.01)) as engine:
             results = engine.run_many(specs)
@@ -91,7 +93,7 @@ class TestDegradation:
         because in-process execution never consults the worker sites."""
         specs, expected = reference
         arm(monkeypatch, tmp_path, "worker-exc:n=999", shared_budget=False)
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         policy = RetryPolicy(max_retries=1, backoff_base_s=0.001)
         with ExperimentEngine(jobs=2, cache=cache, retry=policy) as engine:
             results = engine.run_many(specs)
@@ -104,7 +106,7 @@ class TestDegradation:
     def test_degraded_engine_stays_serial(self, monkeypatch, tmp_path):
         specs = small_specs()
         arm(monkeypatch, tmp_path, "worker-exc:n=999", shared_budget=False)
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         policy = RetryPolicy(max_retries=0, backoff_base_s=0.001)
         with ExperimentEngine(jobs=2, cache=cache, retry=policy) as engine:
             engine.run_many(specs)
@@ -120,7 +122,7 @@ class TestStall:
         completes once the shared budget is spent."""
         specs, expected = reference
         arm(monkeypatch, tmp_path, "task-stall:n=8:ms=2500")
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         policy = RetryPolicy(timeout_s=0.5, backoff_base_s=0.01)
         with ExperimentEngine(jobs=2, cache=cache, retry=policy) as engine:
             results = engine.run_many(specs)
@@ -134,7 +136,7 @@ class TestResultCacheCorruption:
     def test_corrupt_blob_quarantined_and_rerun(self, monkeypatch, tmp_path):
         spec = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
                        **SPEC_KW)
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             first = engine.run(spec)
             arm(monkeypatch, tmp_path, "cache-corrupt:n=1")
@@ -143,10 +145,10 @@ class TestResultCacheCorruption:
         assert cache.quarantined == 1
         assert engine.executed == 2  # the corrupt read forced a rerun
         # Evidence preserved, recorded, and the entry rebuilt on disk.
-        blobs = [p for p in quarantine_dir(cache.root).iterdir()
+        blobs = [p for p in quarantine_dir(cache.store.root).iterdir()
                  if p.suffix == ".json"]
         assert len(blobs) == 1
-        manifest = read_quarantine_manifest(cache.root)
+        manifest = read_quarantine_manifest(cache.store.root)
         assert len(manifest) == 1
         assert cache.path_for(spec).exists()
         assert cache.get(spec).to_dict() == first.to_dict()
@@ -159,7 +161,7 @@ class TestResultCacheCorruption:
         corruption, not crash the reader."""
         spec = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
                        **SPEC_KW)
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             engine.run(spec)
         cache.path_for(spec).write_bytes(b"\xde\xad\xbe\xef not json")
@@ -169,7 +171,7 @@ class TestResultCacheCorruption:
     def test_missing_blob_is_a_plain_miss(self, tmp_path):
         spec = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
                        **SPEC_KW)
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         assert cache.get(spec) is None
         assert cache.quarantined == 0  # absent != corrupt
 
@@ -179,22 +181,23 @@ class TestTraceCacheCorruption:
 
     def test_corrupt_trace_quarantined_and_rebuilt(self, monkeypatch,
                                                    tmp_path):
-        cache = TraceCache(tmp_path / "traces", enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         good = cache.get_or_build(**self.RECIPE)
         arm(monkeypatch, tmp_path, "trace-corrupt:n=1")
         rebuilt = cache.get_or_build(**self.RECIPE)
         assert rebuilt == good
         assert cache.quarantined == 1 and cache.built == 2
-        blobs = [p for p in quarantine_dir(cache.root).iterdir()
+        trace_root = tmp_path / "traces"
+        blobs = [p for p in quarantine_dir(trace_root).iterdir()
                  if p.suffix == ".bin"]
         assert len(blobs) == 1
-        assert len(read_quarantine_manifest(cache.root)) == 1
+        assert len(read_quarantine_manifest(trace_root)) == 1
         # The recovery is observable: warning counter + structured event.
         counters = process_registry().counters()
         assert any("trace-cache-corrupt" in key for key in counters)
 
     def test_rebuild_repairs_entry_on_disk(self, monkeypatch, tmp_path):
-        cache = TraceCache(tmp_path / "traces", enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         good = cache.get_or_build(**self.RECIPE)
         arm(monkeypatch, tmp_path, "trace-corrupt:n=1")
         cache.get_or_build(**self.RECIPE)
@@ -208,7 +211,7 @@ class TestJournalIntegration:
         from repro.resilience.journal import SweepJournal
 
         specs = small_specs()
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         journal = SweepJournal(tmp_path / "journal.jsonl")
         with ExperimentEngine(jobs=1, cache=cache, journal=journal) as engine:
             engine.run_many(specs)
@@ -221,7 +224,7 @@ class TestJournalIntegration:
         from repro.resilience.journal import SweepJournal
 
         specs = small_specs()
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             engine.run_many(specs)
         journal = SweepJournal(tmp_path / "journal.jsonl")
@@ -238,7 +241,7 @@ class TestFaultFreePathUntouched:
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         reset_injector()
         specs = small_specs()
-        cache = ResultCache(tmp_path / "cache", enabled=True)
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
         with ExperimentEngine(jobs=2, cache=cache) as engine:
             engine.run_many(specs)
             assert engine.pool_rebuilds == 0 and not engine.degraded

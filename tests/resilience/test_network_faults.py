@@ -84,10 +84,8 @@ class TestChaosOverFlappingStore:
         # in *this* process fire client-side only, exactly like a worker
         # whose network to a healthy coordinator is flapping.
         serve_env = dict(os.environ, PYTHONPATH=SRC_DIR,
-                         REPRO_CACHE_DIR=str(tmp_path / "service-cache"),
-                         REPRO_TRACE_CACHE_DIR=str(tmp_path / "service-tr"))
-        for name in ("REPRO_FAULTS", "REPRO_FAULTS_DIR", "REPRO_STORE",
-                     "REPRO_OBS"):
+                         REPRO_STORE=str(tmp_path / "service-cache"))
+        for name in ("REPRO_FAULTS", "REPRO_FAULTS_DIR", "REPRO_OBS"):
             serve_env.pop(name, None)
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -123,9 +121,9 @@ class TestChaosOverFlappingStore:
 def _worker_env(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC_DIR,
                REPRO_WORKLOADS="histogram",
-               REPRO_TRACE_CACHE_DIR=str(tmp_path / "traces"))
-    for name in ("REPRO_FAULTS", "REPRO_FAULTS_DIR", "REPRO_STORE",
-                 "REPRO_OBS", "REPRO_LEASE_TTL"):
+               REPRO_STORE=str(tmp_path / "store"))
+    for name in ("REPRO_FAULTS", "REPRO_FAULTS_DIR", "REPRO_OBS",
+                 "REPRO_LEASE_TTL"):
         env.pop(name, None)
     return env
 
@@ -148,7 +146,7 @@ class TestKilledLeaseholderTakeover:
     def test_lost_final_flush_is_taken_over(self, tmp_path):
         # The single-process reference every survivor must reproduce.
         env = _worker_env(tmp_path)
-        env["REPRO_CACHE_DIR"] = str(tmp_path / "ref-cache")
+        env["REPRO_STORE"] = str(tmp_path / "ref-cache")
         ref_out = tmp_path / "ref.txt"
         done = subprocess.run(_report_argv(ref_out), env=env,
                               capture_output=True, text=True, timeout=600)
@@ -158,8 +156,7 @@ class TestKilledLeaseholderTakeover:
         assert cells > 0
 
         serve_env = dict(_worker_env(tmp_path),
-                         REPRO_CACHE_DIR=str(tmp_path / "shared"),
-                         REPRO_TRACE_CACHE_DIR=str(tmp_path / "shared-tr"))
+                         REPRO_STORE=str(tmp_path / "shared"))
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--state-dir", str(tmp_path / "state")],

@@ -34,7 +34,7 @@ def fill(store, count=4, size=100, spacing=1000.0):
 
 @pytest.fixture()
 def store(tmp_path):
-    return FsStore(tmp_path / "cache", trace_root=tmp_path / "cache/traces")
+    return FsStore(tmp_path / "cache")
 
 
 class TestParseSize:
@@ -100,8 +100,7 @@ class TestManifestFirst:
             def delete(self, key):
                 return False  # the blob refuses to die
 
-        store = StuckStore(tmp_path / "cache",
-                           trace_root=tmp_path / "cache/traces")
+        store = StuckStore(tmp_path / "cache")
         keys = fill(store, count=2, size=100)
         check = prune_store_to_size(store, 100, "t", now=NOW)
         # The intent was durably recorded before the delete was attempted.
@@ -142,8 +141,7 @@ class TestSpoolExempt:
         assert any("budget not met" in line for line in check.details)
 
     def test_tiered_store_doctor_prune_spares_spool(self, tmp_path):
-        remote = FsStore(tmp_path / "remote",
-                         trace_root=tmp_path / "remote/traces")
+        remote = FsStore(tmp_path / "remote")
         tier = TieredStore(remote, tmp_path / "tier")
         fill(tier.local, count=3, size=100)
         # Fake an unflushed write: a marker claims the oldest key.
@@ -163,26 +161,20 @@ class TestSpoolExempt:
 
 class TestDoctorEntryPoints:
     def test_run_doctor_path_based(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR",
-                           str(tmp_path / "cache/traces"))
-        store = FsStore(tmp_path / "cache",
-                        trace_root=tmp_path / "cache/traces")
+        """Without ``store=`` the doctor prunes the store in effect."""
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "cache"))
+        store = FsStore(tmp_path / "cache")
         fill(store, count=3, size=100)
-        report = run_doctor(result_root=tmp_path / "cache",
-                            trace_root=tmp_path / "cache/traces",
-                            prune_to_size_bytes=150)
+        report = run_doctor(prune_to_size_bytes=150)
         prune = next(c for c in report.checks if "size budget" in c.name)
         assert prune.ok and prune.evicted == 2
         assert len(store.gc_manifest("results")) == 2
 
     def test_cli_flag(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR",
-                           str(tmp_path / "cache/traces"))
-        store = FsStore(tmp_path / "cache",
-                        trace_root=tmp_path / "cache/traces")
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "cache"))
+        store = FsStore(tmp_path / "cache")
         fill(store, count=3, size=100)
-        rc = main(["doctor", "--cache-dir", str(tmp_path / "cache"),
-                   "--prune-to-size", "150"])
+        rc = main(["doctor", "--prune-to-size", "150"])
         out = capsys.readouterr().out
         # rc is 1: the filler blobs flunk entry integrity (they are not
         # RunResults) — the budget pruning itself must still have run.
@@ -192,5 +184,4 @@ class TestDoctorEntryPoints:
 
     def test_cli_rejects_bad_size(self, tmp_path):
         with pytest.raises(SystemExit, match="--prune-to-size"):
-            main(["doctor", "--cache-dir", str(tmp_path / "cache"),
-                  "--prune-to-size", "plenty"])
+            main(["doctor", "--prune-to-size", "plenty"])

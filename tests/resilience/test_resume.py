@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+from repro.store import FsStore
 from repro.resilience.journal import SweepJournal
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
@@ -27,6 +28,7 @@ CHILD = textwrap.dedent("""\
     import time
     from repro.common.params import ProtocolKind
     from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+    from repro.store import FsStore
     from repro.resilience.journal import SweepJournal
 
     specs = [RunSpec(workload="histogram", protocol=protocol, cores=2,
@@ -35,7 +37,8 @@ CHILD = textwrap.dedent("""\
              for protocol in (ProtocolKind.MESI, ProtocolKind.PROTOZOA_MW)]
     journal = SweepJournal({journal!r})
     engine = ExperimentEngine(jobs=1,
-                              cache=ResultCache({cache!r}, enabled=True),
+                              cache=ResultCache(store=FsStore({cache!r}),
+                                                enabled=True),
                               journal=journal)
     for spec in specs:
         engine.run(spec)
@@ -78,7 +81,8 @@ class TestSigkillResume:
         resumed = journal.resumed
         assert 1 <= resumed < len(SPECS)
         with ExperimentEngine(jobs=1,
-                              cache=ResultCache(cache_root, enabled=True),
+                              cache=ResultCache(store=FsStore(cache_root),
+                                                enabled=True),
                               journal=journal) as engine:
             results = engine.run_many(SPECS)
             # Journaled completions come back as cache hits; at most the
@@ -91,8 +95,9 @@ class TestSigkillResume:
 
         # The resumed matrix is identical to a from-scratch reference.
         with ExperimentEngine(jobs=1,
-                              cache=ResultCache(tmp_path / "ref",
-                                                enabled=True)) as engine:
+                              cache=ResultCache(
+                                  store=FsStore(tmp_path / "ref"),
+                                  enabled=True)) as engine:
             reference = engine.run_many(SPECS)
         assert ({s.digest(): r.to_dict() for s, r in results.items()} ==
                 {s.digest(): r.to_dict() for s, r in reference.items()})

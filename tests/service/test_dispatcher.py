@@ -4,6 +4,7 @@ import time
 
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+from repro.store import FsStore
 from repro.service.dispatcher import Dispatcher, JobJournal
 from repro.service.app import SweepService
 from repro.service.jobs import JobState
@@ -81,7 +82,8 @@ class TestDispatcher:
 
     def test_drains_submissions_in_background(self, tmp_path):
         engine = ExperimentEngine(
-            jobs=1, cache=ResultCache(tmp_path / "cache", enabled=True))
+            jobs=1, cache=ResultCache(store=FsStore(tmp_path / "cache"),
+                                      enabled=True))
         with SweepService(state_dir=tmp_path / "state", engine=engine,
                           idle_poll_s=0.05) as service:
             submitted = service.submit([s.payload() for s in SPECS])

@@ -18,6 +18,7 @@ import pytest
 import repro
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+from repro.store import FsStore
 from repro.service.app import SweepService
 from repro.service.dispatcher import JobJournal
 from repro.service.jobs import JobState
@@ -32,8 +33,8 @@ SPECS = [RunSpec(workload="histogram", protocol=protocol, cores=2,
 
 
 def reference_results(tmp_path):
-    with ExperimentEngine(jobs=1, cache=ResultCache(
-            tmp_path / "ref", enabled=True)) as engine:
+    with ExperimentEngine(jobs=1, cache=ResultCache(store=FsStore(
+            tmp_path / "ref"), enabled=True)) as engine:
         return engine.run_many(SPECS)
 
 
@@ -50,7 +51,8 @@ class TestInProcessRecovery:
             queue.pop_next()
         journal = JobJournal(state / "journals" / f"{job.id}.jsonl")
         with ExperimentEngine(jobs=1,
-                              cache=ResultCache(cache_root, enabled=True),
+                              cache=ResultCache(store=FsStore(cache_root),
+                                                enabled=True),
                               journal=journal) as engine:
             for spec in SPECS[:2]:
                 engine.run(spec)
@@ -58,7 +60,8 @@ class TestInProcessRecovery:
 
         # Restart: the queue journal re-queues the in-flight job ...
         engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(cache_root, enabled=True))
+                                  cache=ResultCache(store=FsStore(cache_root),
+                                                    enabled=True))
         service = SweepService(state_dir=state, engine=engine)
         try:
             assert service.queue.requeued == 1
@@ -91,7 +94,8 @@ class TestInProcessRecovery:
         state = tmp_path / "state"
         cache_root = tmp_path / "cache"
         engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(cache_root, enabled=True))
+                                  cache=ResultCache(store=FsStore(cache_root),
+                                                    enabled=True))
         service = SweepService(state_dir=state, engine=engine)
         try:
             submitted = service.submit([s.payload() for s in SPECS[:2]])
@@ -101,7 +105,8 @@ class TestInProcessRecovery:
             service.stop()
 
         engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(cache_root, enabled=True))
+                                  cache=ResultCache(store=FsStore(cache_root),
+                                                    enabled=True))
         service = SweepService(state_dir=state, engine=engine)
         try:
             job = service.queue.get(submitted["job_id"])
@@ -116,7 +121,8 @@ class TestInProcessRecovery:
 
     def test_result_blob_rebuilt_from_cache_when_deleted(self, tmp_path):
         engine = ExperimentEngine(
-            jobs=1, cache=ResultCache(tmp_path / "cache", enabled=True))
+            jobs=1, cache=ResultCache(store=FsStore(tmp_path / "cache"),
+                                      enabled=True))
         service = SweepService(state_dir=tmp_path / "state", engine=engine)
         try:
             submitted = service.submit([s.payload() for s in SPECS[:2]])
@@ -145,6 +151,7 @@ CHILD = textwrap.dedent("""\
 
     from repro.common.params import ProtocolKind
     from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+    from repro.store import FsStore
     from repro.service.app import SweepService
 
     specs = [RunSpec(workload="histogram", protocol=protocol, cores=2,
@@ -152,7 +159,8 @@ CHILD = textwrap.dedent("""\
              for seed in (0, 1, 2)
              for protocol in (ProtocolKind.MESI, ProtocolKind.PROTOZOA_MW)]
     engine = ExperimentEngine(jobs=1,
-                              cache=ResultCache({cache!r}, enabled=True))
+                              cache=ResultCache(store=FsStore({cache!r}),
+                                                enabled=True))
     service = SweepService(state_dir={state!r}, engine=engine,
                            idle_poll_s=0.05).start()
     service.submit(specs)
@@ -193,7 +201,8 @@ class TestSigkillRecovery:
         # Restart over the same state dir: the queue journal re-queues
         # the in-flight job and the re-run touches only the remainder.
         engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(cache_root, enabled=True))
+                                  cache=ResultCache(store=FsStore(cache_root),
+                                                    enabled=True))
         service = SweepService(state_dir=state, engine=engine)
         try:
             assert service.queue.requeued == 1

@@ -15,6 +15,7 @@ import pytest
 from repro._version import package_version
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+from repro.store import FsStore
 from repro.service import (
     METHODS,
     ServiceClient,
@@ -40,7 +41,8 @@ SPECS = [RunSpec(workload="histogram", protocol=protocol,
 def live(tmp_path):
     """A running service + HTTP server + client, all torn down after."""
     engine = ExperimentEngine(
-        jobs=1, cache=ResultCache(tmp_path / "cache", enabled=True))
+        jobs=1, cache=ResultCache(store=FsStore(tmp_path / "cache"),
+                                  enabled=True))
     service = SweepService(state_dir=tmp_path / "state", engine=engine,
                            idle_poll_s=0.05).start()
     server = make_server(service, port=0)
@@ -74,8 +76,8 @@ class TestEndToEnd:
     def test_sweep_matches_direct_api(self, live, tmp_path):
         _, client, _ = live
         remote = client.sweep(SPECS, timeout_s=120.0)
-        with ExperimentEngine(jobs=1, cache=ResultCache(
-                tmp_path / "ref", enabled=True)) as reference_engine:
+        with ExperimentEngine(jobs=1, cache=ResultCache(store=FsStore(
+                tmp_path / "ref"), enabled=True)) as reference_engine:
             reference = reference_engine.run_many(SPECS)
         assert ({s.digest(): r.to_dict() for s, r in remote.items()} ==
                 {s.digest(): r.to_dict() for s, r in reference.items()})

@@ -1,28 +1,17 @@
 """Store-suite isolation: no test leaks a configured store."""
 
-import os
-
 import pytest
 
 import repro.store.config as store_config
 
 
 @pytest.fixture(autouse=True)
-def _per_test_trace_dir(tmp_path, monkeypatch):
-    """Default trace roots resolve per-test, not to the shared session
-    dir — a store test writing a garbage trace blob must not leak it
-    into every later engine-backed test's cache."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "traces"))
-
-
-@pytest.fixture(autouse=True)
-def _clean_store_config():
-    """Snapshot ``REPRO_STORE`` and the process-wide configured store."""
-    saved_env = os.environ.get("REPRO_STORE")
+def _per_test_store(tmp_path, monkeypatch):
+    """Each store test gets its own ``REPRO_STORE``, not the session one —
+    a store test writing a garbage blob must not leak it into every later
+    engine-backed test's cache.  The process-wide configured store is
+    restored too."""
     saved_configured = store_config._CONFIGURED
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
     yield
     store_config._CONFIGURED = saved_configured
-    if saved_env is None:
-        os.environ.pop("REPRO_STORE", None)
-    else:
-        os.environ["REPRO_STORE"] = saved_env

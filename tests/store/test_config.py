@@ -1,6 +1,7 @@
 """Store selection: URL parsing, configure_store, and get_store."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -64,10 +65,9 @@ class TestConfigureStore:
         configure_store(tmp_path)
         assert configure_store(None) is None
         assert "REPRO_STORE" not in os.environ
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "legacy"))
         resolved = get_store()
         assert isinstance(resolved, FsStore)
-        assert resolved.root == tmp_path / "legacy"
+        assert resolved.root == Path(os.environ["HOME"]) / ".cache" / "repro"
 
     def test_repro_store_env_alone_resolves(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", f"file://{tmp_path / 'env'}")
@@ -78,6 +78,46 @@ class TestConfigureStore:
     def test_bad_url_raises_store_error(self):
         with pytest.raises(StoreError):
             configure_store("gopher://nope")
+
+
+class TestTraceTree:
+    """A named store owns its trace tree: ``<root>/traces``, whatever the
+    environment says, in this process and in a worker that rebuilds the
+    store from its URL."""
+
+    KEY = "traces/" + "ab" * 32 + ".bin"
+
+    @pytest.fixture(autouse=True)
+    def _stale_trace_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "stale"))
+
+    def _expected(self, root):
+        return root / "traces" / "ab" / ("ab" * 32 + ".bin")
+
+    def test_configured_store_and_worker_view(self, tmp_path):
+        named = tmp_path / "named"
+        store = configure_store(named)
+        assert store.local_path(self.KEY) == self._expected(named)
+        worker = parse_store_url(store.url())
+        assert worker.local_path(self.KEY) == self._expected(named)
+
+    def test_tiered_local_tier_round_trips(self, tmp_path):
+        store = configure_store(
+            f"tiered+http://127.0.0.1:9?local={tmp_path / 'tier'}")
+        local = tmp_path / "tier" / "cache"
+        assert store.local.local_path(self.KEY) == self._expected(local)
+        worker = parse_store_url(store.url())
+        assert worker.local.local_path(self.KEY) == self._expected(local)
+
+    def test_local_root_follows_store(self, tmp_path):
+        from repro.store import local_root
+
+        assert local_root(FsStore(tmp_path)) == tmp_path
+        tiered = parse_store_url(
+            f"tiered+http://127.0.0.1:9?local={tmp_path / 'tier'}")
+        assert local_root(tiered) == tmp_path / "tier" / "cache"
+        assert local_root(HttpStore("http://127.0.0.1:9")) == \
+            Path(os.environ["HOME"]) / ".cache" / "repro"
 
 
 class TestPublicSurface:

@@ -1,7 +1,6 @@
 """FsStore: the BlobStore contract over the historical cache layout."""
 
 import json
-import warnings
 
 import pytest
 
@@ -86,7 +85,8 @@ class TestRoundTrip:
 
 
 class TestLayoutBitCompat:
-    """The store serves and extends the pre-store cache trees unchanged."""
+    """The store serves and extends the pre-store cache trees unchanged:
+    results fan out under the root, traces under ``<root>/traces``."""
 
     def test_result_blob_lands_in_historical_location(self, tmp_path):
         store = FsStore(tmp_path)
@@ -96,25 +96,12 @@ class TestLayoutBitCompat:
     def test_trace_blob_lands_under_trace_root(self, tmp_path):
         store = FsStore(tmp_path)
         store.put(f"traces/{DIGEST}.bin", b"T")
-        expected = store.trace_root / DIGEST[:2] / f"{DIGEST}.bin"
+        expected = tmp_path / "traces" / DIGEST[:2] / f"{DIGEST}.bin"
         assert expected.is_file()
 
-    def test_explicit_trace_root_honoured(self, tmp_path):
-        store = FsStore(tmp_path / "r", trace_root=tmp_path / "t")
-        store.put(f"traces/{DIGEST}.bin", b"T")
-        assert (tmp_path / "t" / DIGEST[:2] / f"{DIGEST}.bin").is_file()
-
-    def test_default_roots_honour_legacy_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "tc"))
-        store = FsStore()
-        assert store.root == tmp_path / "cache"
-        assert store.trace_root == tmp_path / "tc"
-
-    def test_pre_store_tree_is_served_verbatim(self, tmp_path, monkeypatch):
+    def test_pre_store_tree_is_served_verbatim(self, tmp_path):
         # A tree written by the pre-store cache code: fan-out by the
         # first two digest hex chars, traces/ nested under the root.
-        monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
         blob = tmp_path / DIGEST[:2] / f"{DIGEST}.json"
         blob.parent.mkdir(parents=True)
         blob.write_bytes(b'{"legacy": true}')
@@ -140,7 +127,7 @@ class TestList:
         assert len(store.list()) == 2
 
     def test_tmp_and_quarantine_never_listed(self, tmp_path):
-        store = FsStore(tmp_path, trace_root=tmp_path / "traces")
+        store = FsStore(tmp_path)
         key = f"results/{DIGEST}.json"
         store.put(key, b"{}")
         (store.local_path(key).parent / "orphan.tmp").write_bytes(b"x")
@@ -148,9 +135,17 @@ class TestList:
         assert store.list() == []
 
     def test_nested_trace_root_not_listed_as_results(self, tmp_path):
-        store = FsStore(tmp_path)  # trace_root defaults to root/traces
+        store = FsStore(tmp_path)
         store.put(f"traces/{DIGEST}.bin", b"T")
         assert store.list("results/") == []
+
+    def test_only_fanout_dirs_hold_blobs(self, tmp_path):
+        store = FsStore(tmp_path)
+        for name in ("service", "AB", "abc", "spool"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / f"{DIGEST}.json").write_bytes(b"{}")
+        assert store.list() == []
+        assert store.structural_check(NAMESPACE_RESULTS) == []
 
 
 class TestQuarantine:
@@ -196,9 +191,10 @@ class TestOrphans:
 class TestStructural:
     def test_misfiled_blob_detected_and_fixed(self, tmp_path):
         store = FsStore(tmp_path)
-        misfiled = tmp_path / "zz" / f"{DIGEST}.json"
+        misfiled = tmp_path / "cd" / f"{DIGEST}.json"
         misfiled.parent.mkdir(parents=True)
         misfiled.write_bytes(b"{}")
+        assert store.list() == []  # no key addresses it
         problems = store.structural_check(NAMESPACE_RESULTS)
         assert len(problems) == 1 and DIGEST in problems[0]
         fixed = store.structural_check(NAMESPACE_RESULTS, fix=True)
@@ -225,47 +221,28 @@ class TestGc:
 
 
 class TestCacheShims:
-    """ResultCache(root)/TraceCache(root) still work, as FsStore wrappers."""
-
-    def test_result_cache_root_warns_and_maps_to_fs_store(self, tmp_path):
-        from repro.experiments._engine import ResultCache
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cache = ResultCache(tmp_path / "cache", enabled=True)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert isinstance(cache.store, FsStore)
-        assert cache.root == tmp_path / "cache"
-
-    def test_trace_cache_root_warns_and_maps_to_fs_store(self, tmp_path):
-        from repro.trace._cache import TraceCache
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cache = TraceCache(tmp_path / "traces", enabled=True)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert isinstance(cache.store, FsStore)
-        assert cache.root == tmp_path / "traces"
+    """ResultCache/TraceCache take a store, never a path."""
 
     def test_root_and_store_together_rejected(self, tmp_path):
         from repro.experiments._engine import ResultCache
         from repro.trace._cache import TraceCache
 
-        with pytest.raises(TypeError):
-            ResultCache(tmp_path, store=FsStore(tmp_path))
-        with pytest.raises(TypeError):
-            TraceCache(tmp_path, store=FsStore(tmp_path))
+        for cls in (ResultCache, TraceCache):
+            with pytest.raises(TypeError):
+                cls(tmp_path, store=FsStore(tmp_path))
+            with pytest.raises(TypeError):
+                cls(tmp_path)
+            with pytest.raises(TypeError):
+                cls(root=tmp_path)
 
     def test_shimmed_cache_reads_store_written_blob(self, tmp_path):
-        """Old-style cache and new-style store address the same bytes."""
+        """A cache over a store addresses the store's bytes."""
         from repro.common.params import ProtocolKind
         from repro.experiments._engine import ResultCache, RunSpec
 
         spec = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
                        cores=2, per_core=40, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cache = ResultCache(tmp_path / "cache", enabled=True)
         store = FsStore(tmp_path / "cache")
+        cache = ResultCache(store=store, enabled=True)
         assert cache.key_for(spec) == f"results/{spec.digest()}.json"
         assert cache.path_for(spec) == store.local_path(cache.key_for(spec))

@@ -25,7 +25,7 @@ KEY = f"results/{DIGEST}.json"
 @pytest.fixture()
 def live(tmp_path):
     """(backing FsStore, HttpStore client, service) around one server."""
-    backing = FsStore(tmp_path / "cache", trace_root=tmp_path / "traces")
+    backing = FsStore(tmp_path / "cache")
     engine = ExperimentEngine(
         jobs=1, cache=ResultCache(store=backing, enabled=True))
     service = SweepService(state_dir=tmp_path / "state", engine=engine,

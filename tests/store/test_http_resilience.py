@@ -43,7 +43,7 @@ def _cold_state(monkeypatch):
 
 @pytest.fixture()
 def live(tmp_path):
-    backing = FsStore(tmp_path / "cache", trace_root=tmp_path / "traces")
+    backing = FsStore(tmp_path / "cache")
     engine = ExperimentEngine(
         jobs=1, cache=ResultCache(store=backing, enabled=True))
     service = SweepService(state_dir=tmp_path / "state", engine=engine,

@@ -9,7 +9,6 @@ import collections
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +29,7 @@ class FlakyRemote(FsStore):
     """An FsStore with a breakable network cable and an op counter."""
 
     def __init__(self, root):
-        super().__init__(root, trace_root=Path(root) / "traces")
+        super().__init__(root)
         self.down = False
         self.fail_keys = set()  # puts of these keys always fail
         self.calls = collections.Counter()

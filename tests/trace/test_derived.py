@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.store import FsStore
 from repro.trace import derived as derived_mod
 from repro.trace._cache import TraceCache
 from repro.trace.derived import (
@@ -87,7 +88,7 @@ class TestDerivedFor:
         assert derived_for(trace, 64) is derived_for(trace, 64)
 
     def test_sidecar_written_and_reloaded(self, tmp_path):
-        cache = TraceCache(root=tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         trace = cache.get_or_build("kmeans", cores=4, per_core=200, seed=0)
         derived_for(trace, 64)
         sidecar = cache.derived_path_for("kmeans", 4, 200, 0, 64)
@@ -97,7 +98,7 @@ class TestDerivedFor:
         assert columns_equal(derived_for(again, 64), derived_for(trace, 64))
 
     def test_corrupt_sidecar_rebuilt(self, tmp_path):
-        cache = TraceCache(root=tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         trace = cache.get_or_build("kmeans", cores=4, per_core=200, seed=0)
         derived_for(trace, 64)
         sidecar = cache.derived_path_for("kmeans", 4, 200, 0, 64)
@@ -109,7 +110,7 @@ class TestDerivedFor:
         DerivedColumns.loads(sidecar.read_bytes())
 
     def test_shape_mismatch_sidecar_rebuilt(self, tmp_path):
-        cache = TraceCache(root=tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         small = cache.get_or_build("kmeans", cores=2, per_core=100, seed=0)
         derived_for(small, 64)
         wrong = cache.derived_path_for("kmeans", 2, 100, 0, 64)

@@ -2,15 +2,8 @@
 
 import os
 
-import pytest
-
-import repro.trace._cache as trace_cache_mod
-from repro.trace._cache import (
-    TraceCache,
-    packed_streams,
-    trace_cache_dir,
-    trace_digest,
-)
+from repro.store import FsStore, get_store
+from repro.trace._cache import TraceCache, packed_streams, trace_digest
 from repro.trace.packed import PackedTrace
 from repro.trace.workloads import build_streams
 
@@ -40,7 +33,7 @@ class TestDigest:
 
 class TestCache:
     def test_build_then_hit(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         first = cache.get_or_build(**RECIPE)
         assert cache.built == 1 and cache.misses == 1 and cache.hits == 0
         second = cache.get_or_build(**RECIPE)
@@ -51,14 +44,14 @@ class TestCache:
                           per_core=RECIPE["per_core"], seed=RECIPE["seed"]))
 
     def test_layout_fans_out_by_digest_prefix(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         cache.get_or_build(**RECIPE)
         digest = trace_digest(RECIPE["workload"], RECIPE["cores"],
                               RECIPE["per_core"], RECIPE["seed"])
-        assert (tmp_path / digest[:2] / f"{digest}.bin").exists()
+        assert (tmp_path / "traces" / digest[:2] / f"{digest}.bin").exists()
 
     def test_corrupt_entry_degrades_to_rebuild(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         good = cache.get_or_build(**RECIPE)
         path = cache.path_for(RECIPE["workload"], RECIPE["cores"],
                               RECIPE["per_core"], RECIPE["seed"])
@@ -70,7 +63,7 @@ class TestCache:
         assert PackedTrace.load(path) == good
 
     def test_truncated_entry_degrades_to_rebuild(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         good = cache.get_or_build(**RECIPE)
         path = cache.path_for(RECIPE["workload"], RECIPE["cores"],
                               RECIPE["per_core"], RECIPE["seed"])
@@ -80,7 +73,7 @@ class TestCache:
         assert cache.built == 2
 
     def test_empty_entry_degrades_to_rebuild(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=True)
         good = cache.get_or_build(**RECIPE)
         path = cache.path_for(RECIPE["workload"], RECIPE["cores"],
                               RECIPE["per_core"], RECIPE["seed"])
@@ -88,40 +81,37 @@ class TestCache:
         assert cache.get_or_build(**RECIPE) == good
 
     def test_disabled_cache_never_touches_disk(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=False)
+        cache = TraceCache(store=FsStore(tmp_path), enabled=False)
         cache.get_or_build(**RECIPE)
         assert not any(tmp_path.iterdir())
 
     def test_repro_cache_env_disables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
-        assert TraceCache(tmp_path).enabled is False
-
-    def test_repro_trace_cache_env_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        assert TraceCache(tmp_path).enabled is True
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        monkeypatch.delenv("REPRO_CACHE")
-        assert TraceCache(tmp_path).enabled is False
+        assert TraceCache(store=FsStore(tmp_path)).enabled is False
 
 
 class TestLocation:
+    KEY = TraceCache.key_for(**RECIPE)
+
     def test_env_dir_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "t"))
-        assert trace_cache_dir() == tmp_path / "t"
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "t"))
+        assert TraceCache().path_for(**RECIPE) == \
+            FsStore(tmp_path / "t").local_path(self.KEY)
 
     def test_defaults_beside_result_cache(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
-        assert trace_cache_dir() == tmp_path / "rc" / "traces"
+        monkeypatch.setenv("REPRO_STORE", f"file://{tmp_path / 'rc'}")
+        digest = self.KEY.split("/")[1]
+        assert TraceCache().path_for(**RECIPE) == \
+            tmp_path / "rc" / "traces" / digest[:2] / digest
 
     def test_suite_is_hermetic(self):
-        """The autouse fixture must keep traces out of ~/.cache."""
-        home = os.path.expanduser("~")
-        assert not str(trace_cache_dir()).startswith(home + "/.cache")
+        """The autouse fixture must keep traces out of the real ~/.cache."""
+        home = os.environ["HOME"]
+        assert str(get_store().root) != os.path.join(home, ".cache", "repro")
+        assert not os.path.exists(os.path.join(home, ".cache", "repro"))
 
     def test_packed_streams_follows_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "mine"))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "mine"))
         trace = packed_streams(**RECIPE)
         assert trace.cores == RECIPE["cores"]
-        assert any((tmp_path / "mine").rglob("*.bin"))
+        assert any((tmp_path / "mine" / "traces").rglob("*.bin"))

@@ -7,11 +7,14 @@ in ``README.md`` / ``docs/*.md`` — may import from ``repro`` or
 ``repro.trace.io``, ...) are implementation detail: showing them in
 docs re-freezes layouts the facade exists to keep movable.
 
-Also rejects the deprecated cache constructors: ``ResultCache`` /
-``TraceCache`` calls that pass a path positionally or via ``root=`` are
-shims over :class:`repro.api.FsStore` — user-facing material must show
-the store-first surface (``ResultCache(store=FsStore(path))`` or
+Also rejects path-first cache constructors: ``ResultCache`` /
+``TraceCache`` take a store, never a path, so user-facing material must
+show the store-first surface (``ResultCache(store=FsStore(path))`` or
 ``configure_store("file:///path")``).
+
+And rejects, anywhere in the README, the docs or the examples, the
+cache-location settings and shim modules removed in 1.3 (the store URL
+replaced them; see UPGRADING.md).
 
 Exit status 1 lists every violation as ``file:line: import``.
 
@@ -44,8 +47,16 @@ def bad_imports(tree: ast.AST) -> Iterator[Tuple[int, str]]:
                 yield node.lineno, f"from {module} import ..."
 
 
-#: Cache constructors whose legacy path argument is a deprecation shim.
+#: Cache constructors that take a store, never a path.
 CACHE_CLASSES = {"ResultCache", "TraceCache"}
+
+#: Names removed in 1.3: the three cache-location environment variables
+#: (``REPRO_CACHE``, the one off switch, stays), the two directory flags
+#: and the three shim modules.
+REMOVED = re.compile(
+    r"\bREPRO_(?:TRACE_CACHE(?:_DIR)?|CACHE_DIR)\b"
+    r"|--(?:trace|cache)-dir\b"
+    r"|\brepro\.(?:experiments\.engine|system\.simulator|trace\.cache)\b")
 
 
 def _call_name(node: ast.Call) -> str:
@@ -57,7 +68,7 @@ def _call_name(node: ast.Call) -> str:
     return ""
 
 
-def deprecated_cache_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+def path_cache_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
     """``ResultCache(path)`` / ``TraceCache(root=...)`` style calls."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -67,12 +78,12 @@ def deprecated_cache_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
             continue
         if node.args:
             yield (node.lineno,
-                   f"{name}(<path>) positional root is deprecated — "
+                   f"{name}(<path>) takes no positional path — "
                    f"use {name}(store=FsStore(path))")
         for keyword in node.keywords:
             if keyword.arg in ("root", "dir", "cache_dir"):
                 yield (node.lineno,
-                       f"{name}({keyword.arg}=...) is deprecated — "
+                       f"{name}({keyword.arg}=...) takes no path — "
                        f"use {name}(store=FsStore(path))")
 
 
@@ -84,7 +95,7 @@ def check_python_source(source: str, label: str,
         # Doc snippets may be deliberately elided (``...``); skip what
         # does not parse rather than failing the build over prose.
         return []
-    findings = list(bad_imports(tree)) + list(deprecated_cache_calls(tree))
+    findings = list(bad_imports(tree)) + list(path_cache_calls(tree))
     return [f"{label}:{line + line_offset}: {what}"
             for line, what in sorted(findings)]
 
@@ -112,21 +123,34 @@ def python_blocks(text: str) -> Iterator[Tuple[int, str]]:
     return
 
 
+def removed_names(text: str, label: str) -> List[str]:
+    """Every mention of a name removed in 1.3, as ``file:line: name``."""
+    return [f"{label}:{number}: {match.group(0)} was removed in 1.3 "
+            "(see UPGRADING.md)"
+            for number, line in enumerate(text.splitlines(), start=1)
+            for match in REMOVED.finditer(line)]
+
+
 def main(argv: List[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     problems: List[str] = []
     for path in sorted((root / "examples").glob("*.py")):
-        problems += check_python_source(path.read_text(encoding="utf-8"),
-                                        str(path.relative_to(root)))
+        text = path.read_text(encoding="utf-8")
+        label = str(path.relative_to(root))
+        problems += check_python_source(text, label)
+        problems += removed_names(text, label)
     doc_files = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
     for path in doc_files:
         if not path.exists():
             continue
-        for start, source in python_blocks(path.read_text(encoding="utf-8")):
-            problems += check_python_source(
-                source, str(path.relative_to(root)), line_offset=start)
+        text = path.read_text(encoding="utf-8")
+        label = str(path.relative_to(root))
+        for start, source in python_blocks(text):
+            problems += check_python_source(source, label, line_offset=start)
+        problems += removed_names(text, label)
     if problems:
-        print("public-surface violations (import only repro / repro.api):")
+        print("public-surface violations (import only repro / repro.api, "
+              "no names removed in 1.3):")
         for problem in problems:
             print(f"  {problem}")
         return 1

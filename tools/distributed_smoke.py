@@ -69,13 +69,11 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="repro-distributed-smoke-"))
     base_env = dict(os.environ,
                     PYTHONPATH=str(REPO / "src"),
-                    REPRO_WORKLOADS=WORKLOADS,
-                    REPRO_TRACE_CACHE_DIR=str(scratch / "traces"))
+                    REPRO_WORKLOADS=WORKLOADS)
     for name in ("REPRO_FAULTS", "REPRO_STORE", "REPRO_OBS"):
         base_env.pop(name, None)
 
-    serve_env = dict(base_env,
-                     REPRO_CACHE_DIR=str(scratch / "service-cache"))
+    serve_env = dict(base_env, REPRO_STORE=str(scratch / "service-cache"))
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--state-dir", str(scratch / "state")],
@@ -91,7 +89,7 @@ def main() -> int:
 
         # The single-process reference every worker must reproduce.
         ref_env = dict(base_env,
-                       REPRO_CACHE_DIR=str(scratch / "reference-cache"))
+                       REPRO_STORE=str(scratch / "reference-cache"))
         ref_path = scratch / "reference.txt"
         reference = subprocess.run(report_cmd(ref_path), env=ref_env,
                                    text=True, capture_output=True,

@@ -106,15 +106,13 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="repro-network-chaos-"))
     base_env = dict(os.environ,
                     PYTHONPATH=str(REPO / "src"),
-                    REPRO_WORKLOADS=WORKLOADS,
-                    REPRO_TRACE_CACHE_DIR=str(scratch / "traces"))
+                    REPRO_WORKLOADS=WORKLOADS)
     for name in ("REPRO_FAULTS", "REPRO_FAULTS_DIR", "REPRO_STORE",
                  "REPRO_OBS"):
         base_env.pop(name, None)
 
     serve_env = dict(base_env,
-                     REPRO_CACHE_DIR=str(scratch / "service-cache"),
-                     REPRO_TRACE_CACHE_DIR=str(scratch / "service-traces"),
+                     REPRO_STORE=str(scratch / "service-cache"),
                      _STATE_DIR=str(scratch / "state"))
     server, url, port = start_serve(serve_env)
     try:
@@ -122,7 +120,7 @@ def main() -> int:
 
         # The single-process reference every phase must reproduce.
         ref_env = dict(base_env,
-                       REPRO_CACHE_DIR=str(scratch / "reference-cache"))
+                       REPRO_STORE=str(scratch / "reference-cache"))
         ref_path = scratch / "reference.txt"
         reference = subprocess.run(
             [sys.executable, "-m", "repro", "report", "--out",

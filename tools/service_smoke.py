@@ -55,7 +55,7 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="repro-service-smoke-"))
     env = dict(os.environ,
                PYTHONPATH=str(REPO / "src"),
-               REPRO_CACHE_DIR=str(scratch / "service-cache"),
+               REPRO_STORE=str(scratch / "service-cache"),
                REPRO_JOBS="2")
     env.pop("REPRO_FAULTS", None)
 
@@ -85,7 +85,7 @@ def main() -> int:
 
         # The service's matrix must byte-match a direct repro.api.sweep
         # of the same grid, computed against a *separate* result cache.
-        os.environ["REPRO_CACHE_DIR"] = str(scratch / "reference-cache")
+        os.environ["REPRO_STORE"] = str(scratch / "reference-cache")
         os.environ["REPRO_JOBS"] = "2"
         sys.path.insert(0, str(REPO / "src"))
         from repro.api import RunSpec, parse_protocol, sweep
