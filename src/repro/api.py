@@ -116,19 +116,15 @@ def run(workload: str,
         seed: int = 0,
         block_bytes: Optional[int] = None,
         obs: Union[None, bool, ObsConfig, Observability] = None,
-        max_accesses: Optional[int] = None,
-        batch: Optional[bool] = None) -> RunResult:
+        max_accesses: Optional[int] = None) -> RunResult:
     """Simulate one bundled workload under one protocol.
 
     The one-call entry point: replays the recipe's packed trace from the
     trace cache (building it on first use), builds the machine, and runs
     it.  ``obs=True`` (or an :class:`ObsConfig`) attaches an
     observability session whose event trace / metrics / phase timers
-    land on the returned :class:`RunResult`.  ``batch`` selects the
-    batched packed-trace issue loop (:mod:`repro.system.batch`):
-    ``None`` consults ``REPRO_BATCH`` (default on), ``False`` forces the
-    scalar loop, ``True`` forces batching where eligible — counters are
-    bit-identical either way.
+    land on the returned :class:`RunResult`.  The trace picks the issue
+    loop (see :func:`simulate`); counters are bit-identical either way.
     """
     from repro.trace._cache import packed_streams
 
@@ -138,7 +134,7 @@ def run(workload: str,
     trace = packed_streams(workload, cores=cores, per_core=per_core,
                            seed=seed)
     return simulate(trace, spec.config(), name=workload,
-                    max_accesses=max_accesses, obs=obs, batch=batch)
+                    max_accesses=max_accesses, obs=obs)
 
 
 def _validate_specs(specs: Iterable[RunSpec]) -> list:

@@ -99,11 +99,6 @@ def _common_parent() -> argparse.ArgumentParser:
                              "[&budget=BYTES] for an outage-tolerant local "
                              "tier (overrides REPRO_STORE; default "
                              "~/.cache/repro)")
-    parent.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="batched packed-trace execution (--no-batch "
-                             "forces the scalar issue loop; default: "
-                             "$REPRO_BATCH, on when unset)")
     return parent
 
 
@@ -123,11 +118,6 @@ def _apply_common(args) -> Optional[int]:
             configure_store(args.store)
         except StoreError as exc:
             raise SystemExit(f"--store: {exc}")
-    batch = getattr(args, "batch", None)
-    if batch is not None:
-        # Exported rather than threaded through call signatures so the
-        # choice reaches every engine and forked pool worker identically.
-        os.environ["REPRO_BATCH"] = "1" if batch else "0"
     jobs = getattr(args, "jobs", 0)
     if jobs and jobs > 0:
         os.environ["REPRO_JOBS"] = str(jobs)

@@ -33,9 +33,11 @@ The fan-out path is built so pool overhead stays off the hot path:
   parent writes to the result cache verbatim (one parse to build the
   in-memory ``RunResult``, no dict round-trip).
 
-Simulations are deterministic, so parallel, serial, cached, and
-packed-vs-object results are bit-identical
-(``tests/experiments/test_engine.py`` pins this down).
+Simulations are deterministic, so parallel, serial and cached results
+are bit-identical (``tests/experiments/test_engine.py`` pins this down),
+and so are batched and scalar issue loops — which one runs is the
+trace's choice, never a setting the engine forwards to its workers
+(``tests/system/test_batch.py``).
 
 The engine is also the recovery layer of :mod:`repro.resilience`
 (docs/resilience.md): failed or stalled chunks retry under a seeded
@@ -71,7 +73,6 @@ from repro.store.config import cache_enabled
 from repro.system.machine import simulate
 from repro.system.results import RunResult
 from repro.trace._cache import packed_streams
-from repro.trace.workloads import build_streams
 
 #: Bump whenever simulation behaviour or the serialized result layout
 #: changes: every previously cached entry becomes unreachable.
@@ -128,21 +129,16 @@ class RunSpec:
         return hashlib.sha256(blob).hexdigest()
 
 
-def execute_spec(spec: RunSpec, packed: bool = True) -> RunResult:
+def execute_spec(spec: RunSpec) -> RunResult:
     """Run one spec in-process (no result-cache involvement).
 
-    With ``packed`` (the default) the trace comes from the packed trace
-    cache — built at most once per recipe, replayed with no per-event
-    objects.  ``packed=False`` regenerates ``MemAccess`` streams; the
-    equivalence tests pin both paths to bit-identical results.
+    The trace comes from the packed trace cache — built at most once per
+    recipe, replayed with no per-event objects — and picks its own issue
+    loop (:func:`~repro.system.machine.simulate`).
     """
-    if packed:
-        trace = packed_streams(spec.workload, cores=spec.cores,
-                               per_core=spec.per_core, seed=spec.seed)
-        return simulate(trace, spec.config(), name=spec.workload)
-    streams = build_streams(spec.workload, cores=spec.cores,
-                            per_core=spec.per_core, seed=spec.seed)
-    return simulate(streams, spec.config(), name=spec.workload)
+    trace = packed_streams(spec.workload, cores=spec.cores,
+                           per_core=spec.per_core, seed=spec.seed)
+    return simulate(trace, spec.config(), name=spec.workload)
 
 
 def _serialize_result(result: RunResult) -> str:
@@ -150,19 +146,14 @@ def _serialize_result(result: RunResult) -> str:
     return json.dumps(result.to_dict(), separators=(",", ":"))
 
 
-def _pool_init(batch_env: str = "", store_env: str = "",
-               store_timeout_env: str = "") -> None:
+def _pool_init(store_env: str = "", store_timeout_env: str = "") -> None:
     """Worker initializer: pin the store, pre-import the machine.
 
     Runs once per worker process (not per task), so spawn-started pools
     agree with the parent on blob-store choice (``REPRO_STORE``, set by
-    ``--store``), the remote-store timeout (``REPRO_STORE_TIMEOUT``),
-    batched-execution choice (``REPRO_BATCH``, set by
-    ``--batch/--no-batch``), and every heavy import is paid before the
-    first task arrives.
+    ``--store``) and the remote-store timeout (``REPRO_STORE_TIMEOUT``),
+    and every heavy import is paid before the first task arrives.
     """
-    if batch_env:
-        os.environ["REPRO_BATCH"] = batch_env
     if store_env:
         os.environ["REPRO_STORE"] = store_env
     if store_timeout_env:
@@ -344,8 +335,7 @@ class ExperimentEngine:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_pool_init,
-                initargs=(os.environ.get("REPRO_BATCH", ""),
-                          os.environ.get("REPRO_STORE", ""),
+                initargs=(os.environ.get("REPRO_STORE", ""),
                           os.environ.get("REPRO_STORE_TIMEOUT", "")),
             )
             self._pool_finalizer = weakref.finalize(
@@ -354,13 +344,19 @@ class ExperimentEngine:
 
     def close(self) -> None:
         """Shut the worker pool down; the engine stays usable (serially
-        it never had one, and a later fan-out recreates it)."""
-        if self._pool_finalizer is not None:
-            self._pool_finalizer()  # idempotent; detaches after first call
-            self._pool_finalizer = None
+        it never had one, and a later fan-out recreates it).
+
+        Returns only once every worker has exited.  The join comes first:
+        the finalizer's ``shutdown(wait=False)`` would clear the
+        executor's manager thread, leaving a later ``wait=True`` nothing
+        to join.
+        """
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        if self._pool_finalizer is not None:
+            self._pool_finalizer.detach()
+            self._pool_finalizer = None
 
     def _abandon_pool(self) -> None:
         """Drop the pool without waiting on it (a worker died or stalled;

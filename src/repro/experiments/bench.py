@@ -19,15 +19,15 @@ Times five things and writes them to ``BENCH_protozoa.json``:
   tracing tax and checks that disabled observability leaves no artifacts
   and that enabling it changes no counter (the zero-cost-when-off and
   parity guarantees of docs/observability.md).  Both timed phases pin
-  ``REPRO_BATCH=0``: only a scalar-vs-scalar comparison isolates the
-  tracing tax from the batching win.  The section also records the
-  ``batch_obs`` parity map: with observability attached, batched
-  execution must reproduce the scalar obs path's RunStats *and* metric
-  dumps byte-for-byte for every protocol, and must actually engage (the
-  event trace's ``batched`` counter is nonzero);
-* **batch execution** — the microbenchmark with the batched issue loop
-  (:mod:`repro.system.batch`) forced off and then on, plus a
-  scalar-vs-batched counter comparison for every protocol (the
+  the scalar loop (``batch=False``): only a scalar-vs-scalar comparison
+  isolates the tracing tax from the batching win.  The section also
+  records the ``batch_obs`` parity map: with observability attached,
+  batched execution must reproduce the scalar obs path's RunStats *and*
+  metric dumps byte-for-byte for every protocol, and must actually
+  engage (the event trace's ``batched`` counter is nonzero);
+* **batch execution** — the microbenchmark trace on the scalar issue
+  loop and then on the loop the trace picks (:mod:`repro.system.batch`),
+  plus a scalar-vs-batched counter comparison for every protocol (the
   bit-identity guarantee ``repro bench --assert-batch-identical``
   gates on).
 
@@ -177,34 +177,29 @@ def time_single_run(spec: RunSpec, repeats: int) -> Dict:
 def measure_batch(spec: RunSpec, repeats: int) -> Dict:
     """The batched issue loop's effect, and the guarantee behind it.
 
-    Times the microbenchmark with ``REPRO_BATCH=0`` and then ``=1``, and
+    Times the microbenchmark trace with ``batch=False`` (the scalar
+    loop) and then ``batch=None`` (the loop the trace picks), and
     compares scalar against batched counters for every protocol on a
     small differential shape — batch execution must be bit-identical,
     not merely close (``repro bench --assert-batch-identical`` gates on
     the ``identical`` map recorded here).
     """
     from repro.common.params import SystemConfig
-    from repro.system.batch import ENV_FLAG
     from repro.system.machine import simulate
     from repro.trace._cache import packed_streams
 
-    old = os.environ.get(ENV_FLAG)
-    try:
-        rates = {}
-        for setting in ("0", "1"):
-            os.environ[ENV_FLAG] = setting
-            best = 0.0
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = execute_spec(spec)
-                best = max(best,
-                           result.stats.accesses / (time.perf_counter() - start))
-            rates[setting] = best
-    finally:
-        if old is None:
-            os.environ.pop(ENV_FLAG, None)
-        else:
-            os.environ[ENV_FLAG] = old
+    trace = packed_streams(spec.workload, cores=spec.cores,
+                           per_core=spec.per_core, seed=spec.seed)
+    config = spec.config()
+    rates = {}
+    for batch in (False, None):
+        best = 0.0
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = simulate(trace, config, name=spec.workload, batch=batch)
+            best = max(best,
+                       result.stats.accesses / (time.perf_counter() - start))
+        rates[batch] = best
     identical = {}
     streams = packed_streams(spec.workload, cores=8, per_core=400,
                              seed=spec.seed)
@@ -213,7 +208,7 @@ def measure_batch(spec: RunSpec, repeats: int) -> Dict:
         scalar = simulate(streams, config, batch=False).stats.to_dict()
         batched = simulate(streams, config, batch=True).stats.to_dict()
         identical[protocol.value] = scalar == batched
-    off, on = rates["0"], rates["1"]
+    off, on = rates[False], rates[None]
     return {
         "off_accesses_per_sec": round(off, 1),
         "on_accesses_per_sec": round(on, 1),
@@ -270,11 +265,15 @@ def measure_obs_overhead(spec: RunSpec, repeats: int) -> Dict:
     * **batch_obs** — batched execution with obs attached byte-matches
       the scalar obs path (see :func:`measure_batch_obs`).
 
-    Both timed phases pin ``REPRO_BATCH=0``: batching now composes with
-    observability, so only a scalar-vs-scalar comparison isolates the
-    tracing tax from the batching win.
+    Both timed phases pin the scalar loop (``batch=False``): batching
+    composes with observability, so only a scalar-vs-scalar comparison
+    isolates the tracing tax from the batching win.  Observability
+    itself still resolves from ``REPRO_OBS`` (``obs=None``), so the gate
+    measures the sampled configuration a real run gets from the
+    environment, not full-fidelity tracing.
     """
-    from repro.system.batch import ENV_FLAG
+    from repro.system.machine import simulate
+    from repro.trace._cache import packed_streams
 
     # overhead_pct is a ratio of two best-of timings and gates CI at a
     # 10% budget, so the measurement is hardened against shared-runner
@@ -292,20 +291,26 @@ def measure_obs_overhead(spec: RunSpec, repeats: int) -> Dict:
     # until the running ratio converges below the gate's headroom.
     repeats = max(repeats, 8)
     converged = 1.08   # stop early once overhead < 8%, under the 10% gate
+    def run_scalar():
+        # execute_spec with the loop pinned: the timed region stays the
+        # one the gate was calibrated on (trace load + simulate).
+        trace = packed_streams(spec.workload, cores=spec.cores,
+                               per_core=spec.per_core, seed=spec.seed)
+        return simulate(trace, spec.config(), name=spec.workload,
+                        batch=False)
+
     old = os.environ.pop("REPRO_OBS", None)
-    old_batch = os.environ.get(ENV_FLAG)
-    os.environ[ENV_FLAG] = "0"
     try:
         off_rate = on_rate = 0.0
         for attempt in range(repeats * 4):
             os.environ.pop("REPRO_OBS", None)
             start = time.process_time()
-            off_result = execute_spec(spec)
+            off_result = run_scalar()
             off_rate = max(off_rate,
                            off_result.stats.accesses / (time.process_time() - start))
             os.environ["REPRO_OBS"] = "1"
             start = time.process_time()
-            on_result = execute_spec(spec)
+            on_result = run_scalar()
             on_rate = max(on_rate,
                           on_result.stats.accesses / (time.process_time() - start))
             if attempt + 1 >= repeats and off_rate <= on_rate * converged:
@@ -318,10 +323,6 @@ def measure_obs_overhead(spec: RunSpec, repeats: int) -> Dict:
             os.environ.pop("REPRO_OBS", None)
         else:
             os.environ["REPRO_OBS"] = old
-        if old_batch is None:
-            os.environ.pop(ENV_FLAG, None)
-        else:
-            os.environ[ENV_FLAG] = old_batch
     return {
         "disabled_accesses_per_sec": round(off_rate, 1),
         "enabled_accesses_per_sec": round(on_rate, 1),

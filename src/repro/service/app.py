@@ -34,6 +34,8 @@ SIGKILLed service, restarted, finishes exactly the work that remained.
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
@@ -452,10 +454,10 @@ def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
     """Run the sweep service until interrupted (the ``repro serve`` body).
 
     Binds first (``port=0`` picks an ephemeral port), prints the
-    resolved URL, then blocks in ``serve_forever``.  Ctrl-C stops the
-    HTTP server, drains the in-flight job, and shuts the engine pool
-    down cleanly; a SIGKILL instead is survivable by design — the next
-    start replays the queue journal.
+    resolved URL, then blocks in ``serve_forever``.  Ctrl-C or SIGTERM
+    stops the HTTP server, drains the in-flight job, and shuts the
+    engine pool down cleanly, joining its workers; a SIGKILL instead is
+    survivable by design — the next start replays the queue journal.
 
     The service must *own* a local store — it is the thing an
     ``http://`` store URL points at, so starting it against one would
@@ -474,10 +476,19 @@ def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
         print(f"repro service v{package_version()} listening on "
               f"http://{host}:{bound} (state: {service.state_dir})",
               flush=True)
+        # SIGTERM ends serve_forever like Ctrl-C does, so the ``with``
+        # block closes the engine instead of the default handler killing
+        # the process and orphaning the pool workers.  shutdown() blocks
+        # until the serving loop exits, so it cannot run on this thread.
+        previous = signal.signal(
+            signal.SIGTERM,
+            lambda *_: threading.Thread(target=server.shutdown,
+                                        daemon=True).start())
         try:
             server.serve_forever()
         except KeyboardInterrupt:
             pass
         finally:
+            signal.signal(signal.SIGTERM, previous)
             server.server_close()
     return 0

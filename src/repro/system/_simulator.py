@@ -9,22 +9,21 @@ tracks relative progress — cores suffering misses fall behind, exactly the
 mechanism by which false sharing serializes progress in the paper's
 linear-regression discussion.
 
-Streams come in two forms, both yielding bit-identical results:
+Every run replays a :class:`~repro.trace.packed.PackedTrace`, whose
+columns the issue loop reads directly: no per-event object exists at any
+point.  Per-core iterables of ``MemAccess`` (the text trace format,
+hand-built test scenarios) are packed on entry, so they must be finite.
 
-* **object streams** — per-core iterables of ``MemAccess`` (the text
-  trace format, hand-built test scenarios);
-* **packed traces** — a :class:`~repro.trace.packed.PackedTrace`, whose
-  columns the issue loop reads directly: no per-event object exists at
-  any point, which is the fast path the experiment engine uses.
-
-The interleaving is identical because the event heap is keyed by
-``(clock, core)`` in both paths and per-core order is fixed by the trace.
+The trace alone picks the loop: the batch core
+(:mod:`repro.system.batch`) runs it when the trace and configuration are
+eligible, and the scalar loop below runs it otherwise.  Both are keyed
+by ``(clock, core)``, so they yield the identical interleaving.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.coherence.protocol_base import CoherenceProtocol
 from repro.common.errors import SimulationError
@@ -40,30 +39,21 @@ class Simulator:
 
     def __init__(self, protocol: CoherenceProtocol, streams: Streams,
                  obs=None, batch: Optional[bool] = None):
-        self._packed: Optional[PackedTrace] = None
-        # Batch execution over packed columns (repro.system.batch):
-        # True forces it on, False off, None defers to $REPRO_BATCH
-        # (default on).  Either way the run is bit-identical; ineligible
-        # configurations silently take the scalar loop.
+        if not isinstance(streams, PackedTrace):
+            streams = PackedTrace.from_streams(streams)
+        if streams.cores > protocol.config.cores:
+            raise SimulationError(
+                f"{streams.cores} streams for {protocol.config.cores} cores")
+        self._packed = streams
+        # Batch execution (repro.system.batch): True forces it where
+        # eligible, False pins the scalar loop, None lets the trace
+        # decide.  Either way the run is bit-identical.
         self._batch = batch
-        self._streams: List[Iterator[MemAccess]] = []
         # Observability session (repro.obs): attached to the protocol so
         # its transaction hooks fire, and consulted here for phase timing.
         self._obs = obs
         if obs is not None:
             protocol.attach_obs(obs)
-        if isinstance(streams, PackedTrace):
-            if streams.cores > protocol.config.cores:
-                raise SimulationError(
-                    f"{streams.cores} streams for {protocol.config.cores} cores"
-                )
-            self._packed = streams
-        else:
-            if len(streams) > protocol.config.cores:
-                raise SimulationError(
-                    f"{len(streams)} streams for {protocol.config.cores} cores"
-                )
-            self._streams = [iter(s) for s in streams]
         self.protocol = protocol
         self.stats: RunStats = protocol.stats
         self.clocks = [0] * protocol.config.cores
@@ -95,56 +85,17 @@ class Simulator:
         return self.stats
 
     def _issue(self, max_accesses: Optional[int]) -> None:
-        """Drain the streams through the protocol (no end-of-run flush)."""
-        if self._packed is not None:
-            from repro.system.batch import maybe_run_batched
+        """Drain the trace through the protocol (no end-of-run flush)."""
+        from repro.system.batch import maybe_run_batched
 
-            if not maybe_run_batched(self, max_accesses):
-                self._run_packed(max_accesses)
-            return
-        clocks = self.clocks
-        streams = self._streams
-        heap = []
-        for core, stream in enumerate(streams):
-            event = next(stream, None)
-            if event is not None:
-                heap.append((clocks[core], core, event))
-        heapq.heapify(heap)
-        # The issue loop runs once per simulated access; every invariant
-        # lookup (bound methods, stats fields) is hoisted out of it.
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        protocol_read = self.protocol.read
-        protocol_write = self.protocol.write
-        issued = 0
-        instructions = 0
-        while heap:
-            if max_accesses is not None and issued >= max_accesses:
-                self.stats.truncated = True
-                break
-            clock, core, event = heappop(heap)
-            think = event.think
-            clock += think
-            instructions += think + 1
-            if event.is_write:
-                clock += protocol_write(core, event.addr, event.size, event.pc)
-            else:
-                clock += protocol_read(core, event.addr, event.size, event.pc)
-            clocks[core] = clock
-            issued += 1
-            nxt = next(streams[core], None)
-            if nxt is not None:
-                heappush(heap, (clock, core, nxt))
-        self.stats.instructions += instructions
-        self.stats.core_cycles = list(clocks)
+        if not maybe_run_batched(self, max_accesses):
+            self._run_packed(max_accesses)
 
     def _run_packed(self, max_accesses: Optional[int]) -> None:
-        """The issue loop over packed columns: no per-event allocation.
+        """The scalar issue loop: packed columns, no per-event allocation.
 
-        Heap entries are ``(clock, core)`` — the same ordering as the
-        object path's ``(clock, core, event)`` tuples, since ``core``
-        already breaks every tie — and each pop indexes straight into the
-        per-core column arrays.
+        Heap entries are ``(clock, core)`` — ``core`` breaks every tie —
+        and each pop indexes straight into the per-core column arrays.
         """
         packed = self._packed
         clocks = self.clocks

@@ -44,9 +44,7 @@ that (core, region), so batching is speculative but never wrong.
 The issue loop itself works on plain Python lists (one ``tolist`` per
 derived column at runner start): per committed hit it costs a few list
 indexes and one dict upsert, against a full coherence transaction plus
-heap traffic on the scalar path.  numpy, when importable, accelerates
-*deriving* the columns (:func:`repro.trace.derived.derive`); execution
-is identical with or without it.
+heap traffic on the scalar path.
 
 Observability (:mod:`repro.obs`) composes with batching: batched hits
 fold into the engine's scratch counter slots and are counted in bulk on
@@ -56,22 +54,21 @@ byte-identical to an obs-enabled scalar run.  Scalar-executed
 transactions (misses, evictions, and the stretches around them) record
 normally — they are what the ring retains under batching.
 
-Batch mode declines (returning the scalar path, never an error) when
-the stream is not packed, ``REPRO_BATCH=0``, ``check_values`` is on, or
-regions are wider than the 62-word mask columns.
+There is no switch to set: the trace and configuration decide.  Batch
+mode declines (returning the scalar path, never an error) when
+``check_values`` is on, regions are wider than the 62-word mask columns,
+or — unless the caller passed ``batch=True`` — the trace reuses its
+regions too little to be hit-dominated (:data:`MIN_REUSE`).
+``simulate(..., batch=False)`` pins the scalar loop, the reference the
+differential tests and ``repro bench`` compare against.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 from repro.trace.derived import MAX_MASK_WORDS, derived_for
-
-#: Environment switch read by default (CLI ``--batch/--no-batch`` sets it
-#: so the choice reaches pool workers); batch execution is ON by default.
-ENV_FLAG = "REPRO_BATCH"
 
 #: Minimum events per distinct (core, region) pair for *default-mode*
 #: batching.  Every distinct pair costs at least one compulsory miss, so
@@ -81,24 +78,16 @@ ENV_FLAG = "REPRO_BATCH"
 MIN_REUSE = 4.0
 
 
-def batch_env_enabled() -> bool:
-    return os.environ.get(ENV_FLAG, "1") != "0"
-
-
 def maybe_run_batched(sim, max_accesses: Optional[int]) -> bool:
     """Run ``sim``'s packed trace batched if eligible; returns whether it ran.
 
     ``False`` means the caller should fall back to the scalar loop; the
     decision is side-effect free.
     """
-    packed = sim._packed
-    if packed is None:
-        return False
-    requested = getattr(sim, "_batch", None)
+    requested = sim._batch
     if requested is False:
         return False
-    if requested is None and not batch_env_enabled():
-        return False
+    packed = sim._packed
     protocol = sim.protocol
     config = protocol.config
     if config.check_values:

@@ -31,14 +31,17 @@ def simulate(streams: Streams, config: SystemConfig,
              obs=None, batch: Optional[bool] = None) -> RunResult:
     """Build a machine, run the streams through it, and package the result.
 
-    ``streams`` is either per-core ``MemAccess`` iterables or a
-    :class:`~repro.trace.packed.PackedTrace`; both replay identically
-    (the packed form just skips per-event object construction).
+    ``streams`` is either a :class:`~repro.trace.packed.PackedTrace` or
+    per-core ``MemAccess`` iterables, which are packed first — so they
+    must be finite, even when ``max_accesses`` cuts the run short.
 
-    ``batch`` selects the vectorized issue loop for packed streams
-    (:mod:`repro.system.batch`): ``None`` consults ``REPRO_BATCH``
-    (default on), ``False`` forces the scalar loop, ``True`` forces
-    batch where eligible.  Results are bit-identical either way.
+    ``batch`` selects the issue loop (:mod:`repro.system.batch`):
+    ``None`` (the default) lets the trace decide — the batch core runs
+    when ``check_values`` is off, regions fit its mask columns and the
+    trace reuses its regions enough (``MIN_REUSE``); ``False`` pins the
+    scalar loop; ``True`` forces batching wherever it is eligible,
+    bypassing the reuse heuristic.  No environment variable is read.
+    Results are bit-identical either way.
 
     ``obs`` selects observability (:mod:`repro.obs`): ``None`` consults
     ``REPRO_OBS`` (default off — every hook is then a no-op), ``False``

@@ -6,9 +6,11 @@ per core, the *region* each event touches, its word-range *mask*, and
 prefix sums of think time / write counts / written-word popcounts so a
 whole span of events can be retired with O(1) arithmetic.  Those columns
 depend only on the trace and the region size, so they are computed once
-per ``(trace, region_bytes)`` — with numpy when it is importable, with
-``array`` + pure-Python loops otherwise — and cached as a binary sidecar
-next to the packed trace (see :class:`~repro.trace._cache.TraceCache`).
+per ``(trace, region_bytes)`` in pure Python — list comprehensions,
+``itertools`` prefix sums, masks memoised per (offset, size) — and cached
+as a binary sidecar next to the packed trace (see
+:class:`~repro.trace._cache.TraceCache`), so a sweep derives each trace
+at most once.
 
 Two global classifications ride along, both trace-level facts:
 
@@ -30,7 +32,9 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import accumulate, compress
+from typing import List, Optional, Tuple
 
 from repro.common.addresses import WORD_BYTES
 from repro.common.errors import SimulationError
@@ -62,24 +66,6 @@ _CORE_ARRAYS: Tuple[Tuple[str, str, str], ...] = (
     ("hard_pos", "q", "h"),
     ("region_ids", "q", "r"),
 )
-
-_np = None
-_np_probed = False
-
-
-def numpy_or_none():
-    """The numpy module if importable, else ``None`` (probed once)."""
-    global _np, _np_probed
-    if not _np_probed:
-        _np_probed = True
-        try:
-            import numpy  # noqa: F401 -- optional accelerator
-
-            _np = numpy
-        except ImportError:
-            _np = None
-    return _np
-
 
 class CoreDerived:
     """One core's derived columns (see module docstring).
@@ -204,152 +190,67 @@ def derive(packed, region_bytes: int) -> DerivedColumns:
         raise SimulationError(
             f"regions of {region_bytes} bytes exceed the {MAX_MASK_WORDS}-"
             "word mask columns")
-    np = numpy_or_none()
-    if np is not None:
-        return _derive_numpy(packed, region_bytes, np)
-    return _derive_python(packed, region_bytes)
-
-
-def _derive_python(packed, region_bytes: int) -> DerivedColumns:
-    words = region_bytes // WORD_BYTES
     cores = packed.cores
-    touched_by: dict = {}  # region -> core count (capped at 2)
+    # Pass 1, per core: the region of every event, and which regions any
+    # core writes; a region is hard when it is both shared and written.
+    regions: List[List[int]] = []
+    region_ids: List[List[int]] = []
     written: set = set()
-    core_regions: List[set] = []
+    touched_by: Counter = Counter()  # region -> cores touching it
     for core in range(cores):
         w, a, _s, _p, _t = packed.core_columns(core)
-        regs = set()
-        for i in range(len(a)):
-            region = a[i] // region_bytes
-            regs.add(region)
-            if w[i]:
-                written.add(region)
-        for region in regs:
-            touched_by[region] = min(touched_by.get(region, 0) + 1, 2)
-        core_regions.append(regs)
+        regs = [addr // region_bytes for addr in a]
+        distinct = set(regs)
+        written.update(compress(regs, w))
+        touched_by.update(distinct)
+        regions.append(regs)
+        region_ids.append(sorted(distinct))
     hard = {region for region, count in touched_by.items()
             if count > 1 and region in written}
+    mask_of = _MaskMemo(region_bytes)
     per_core: List[CoreDerived] = []
     for core in range(cores):
         w, a, s, _p, t = packed.core_columns(core)
-        region_ids = array("q", sorted(core_regions[core]))
-        idx_of = {region: i for i, region in enumerate(region_ids)}
-        n = len(a)
-        region_idx = array("i", bytes(4 * n))
-        amask = array("q", bytes(8 * n))
-        wmask = array("q", bytes(8 * n))
-        think_cum = array("q", bytes(8 * (n + 1)))
-        writes_cum = array("q", bytes(8 * (n + 1)))
-        wpop_cum = array("q", bytes(8 * (n + 1)))
-        hard_pos = array("q")
-        th = wr = wp = 0
-        for i in range(n):
-            addr = a[i]
-            region, offset = divmod(addr, region_bytes)
-            first = offset // WORD_BYTES
-            last_offset = offset + max(s[i], 1) - 1
-            if last_offset >= region_bytes:
-                last = words - 1
-            else:
-                last = last_offset // WORD_BYTES
-            mask = ((1 << (last - first + 1)) - 1) << first
-            region_idx[i] = idx_of[region]
-            amask[i] = mask
-            if w[i]:
-                wmask[i] = mask
-                wr += 1
-                wp += mask.bit_count()
-            if region in hard:
-                hard_pos.append(i)
-            th += t[i]
-            think_cum[i + 1] = th
-            writes_cum[i + 1] = wr
-            wpop_cum[i + 1] = wp
-        per_core.append(CoreDerived(region_idx, amask, wmask, think_cum,
-                                    writes_cum, wpop_cum, hard_pos,
-                                    region_ids))
+        regs = regions[core]
+        idx_of = {region: i for i, region in enumerate(region_ids[core])}
+        amask = [mask_of[addr % region_bytes, size]
+                 for addr, size in zip(a, s)]
+        wmask = [mask if wr else 0 for mask, wr in zip(amask, w)]
+        hard_pos = [i for i, region in enumerate(regs) if region in hard]
+        per_core.append(CoreDerived(
+            array("i", [idx_of[region] for region in regs]),
+            array("q", amask),
+            array("q", wmask),
+            array("q", accumulate(t, initial=0)),
+            array("q", accumulate(w, initial=0)),
+            array("q", accumulate(map(int.bit_count, wmask), initial=0)),
+            array("q", hard_pos),
+            array("q", region_ids[core]),
+        ))
     return DerivedColumns(region_bytes, len(touched_by), per_core)
 
 
-def _derive_numpy(packed, region_bytes: int, np) -> DerivedColumns:
-    words = region_bytes // WORD_BYTES
-    cores = packed.cores
-    regions_per_core = []
-    masks = []
-    for core in range(cores):
-        w, a, s, _p, t = packed.core_columns(core)
-        wv = np.frombuffer(w, dtype=np.int8) if len(w) else np.zeros(0, np.int8)
-        av = (np.frombuffer(a, dtype=np.int64) if len(a)
-              else np.zeros(0, np.int64))
-        sv = (np.frombuffer(s, dtype=np.int32) if len(s)
-              else np.zeros(0, np.int32))
-        region = av // region_bytes
-        offset = av - region * region_bytes
-        first = offset >> 3
-        last_offset = offset + np.maximum(sv.astype(np.int64), 1) - 1
-        last = np.where(last_offset >= region_bytes, words - 1,
-                        last_offset >> 3)
-        amask = ((np.int64(1) << (last - first + 1)) - np.int64(1)) << first
-        wmask = np.where(wv != 0, amask, np.int64(0))
-        regions_per_core.append((region, np.unique(region),
-                                 np.unique(region[wv != 0])))
-        masks.append((wv, amask, wmask, t))
-    all_unique = (np.concatenate([u for _, u, _ in regions_per_core])
-                  if cores else np.zeros(0, np.int64))
-    vals, counts = np.unique(all_unique, return_counts=True)
-    shared = vals[counts >= 2]
-    written = np.unique(np.concatenate(
-        [wu for _, _, wu in regions_per_core])) if cores else shared
-    hard_regions = np.intersect1d(shared, written, assume_unique=True)
-    per_core: List[CoreDerived] = []
-    for core in range(cores):
-        region, region_ids, _wu = regions_per_core[core]
-        wv, amask, wmask, t = masks[core]
-        n = len(region)
-        region_idx = np.searchsorted(region_ids, region).astype(np.int32)
-        tv = (np.frombuffer(t, dtype=np.int32) if len(t)
-              else np.zeros(0, np.int32))
-        think_cum = np.zeros(n + 1, np.int64)
-        np.cumsum(tv, dtype=np.int64, out=think_cum[1:])
-        writes_cum = np.zeros(n + 1, np.int64)
-        np.cumsum(wv != 0, dtype=np.int64, out=writes_cum[1:])
-        wpop_cum = np.zeros(n + 1, np.int64)
-        np.cumsum(_popcount(np, wmask), dtype=np.int64, out=wpop_cum[1:])
-        if len(hard_regions):
-            hard_ev = np.isin(region, hard_regions)
-            hard_pos = np.flatnonzero(hard_ev).astype(np.int64)
+class _MaskMemo(dict):
+    """Word-range masks keyed by ``(offset in region, access size)``.
+
+    A trace reuses a handful of (offset, size) shapes, so each mask is
+    computed once per derive instead of once per event.
+    """
+
+    def __init__(self, region_bytes: int):
+        super().__init__()
+        self.region_bytes = region_bytes
+
+    def __missing__(self, key: Tuple[int, int]) -> int:
+        offset, size = key
+        first = offset // WORD_BYTES
+        last_offset = offset + max(size, 1) - 1
+        if last_offset >= self.region_bytes:
+            last = self.region_bytes // WORD_BYTES - 1
         else:
-            hard_pos = np.zeros(0, np.int64)
-        per_core.append(CoreDerived(
-            _as_array("i", region_idx, np),
-            _as_array("q", amask, np),
-            _as_array("q", wmask, np),
-            _as_array("q", think_cum, np),
-            _as_array("q", writes_cum, np),
-            _as_array("q", wpop_cum, np),
-            _as_array("q", hard_pos, np),
-            _as_array("q", region_ids, np),
-        ))
-    return DerivedColumns(region_bytes, int(len(vals)), per_core)
-
-
-def _popcount(np, values):
-    """Per-element popcount of a non-negative int64 array."""
-    fn = getattr(np, "bitwise_count", None)
-    if fn is not None:
-        return fn(values).astype(np.int64)
-    out = np.zeros(len(values), np.int64)
-    for i, v in enumerate(values.tolist()):
-        out[i] = v.bit_count()
-    return out
-
-
-def _as_array(typecode: str, np_values, np) -> array:
-    """An ``array`` copy of a 1-D numpy integer array (native endian)."""
-    dtype = {"b": np.int8, "i": np.int32, "q": np.int64}[typecode]
-    out = array(typecode)
-    out.frombytes(np.ascontiguousarray(np_values, dtype=dtype).tobytes())
-    return out
+            last = last_offset // WORD_BYTES
+        mask = self[key] = ((1 << (last - first + 1)) - 1) << first
+        return mask
 
 
 # -- caching -----------------------------------------------------------------

@@ -90,21 +90,6 @@ class TestSerialization:
         assert clone.stats.truncated is True
 
 
-class TestPackedParity:
-    """Packed replay (the engine's default) == object-stream replay."""
-
-    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS,
-                             ids=[p.short_name for p in ALL_PROTOCOLS])
-    def test_packed_and_object_replay_bit_identical(self, protocol):
-        spec = RunSpec("histogram", protocol, cores=4, per_core=150)
-        packed = execute_spec(spec, packed=True)
-        objects = execute_spec(spec, packed=False)
-        assert packed.stats.to_dict() == objects.stats.to_dict()
-        assert packed.flit_hops() == objects.flit_hops()
-        assert packed.dir_owned_buckets() == objects.dir_owned_buckets()
-        assert packed.to_dict() == objects.to_dict()
-
-
 class TestParallelParity:
     def test_parallel_sweep_bit_identical_to_serial(self, tmp_path):
         """All four protocols x two workloads: pool results == in-process."""
@@ -154,6 +139,19 @@ class TestParallelParity:
         second = engine.warm_pool()
         assert second is not None and second is not first
         engine.close()
+
+    def test_close_joins_every_worker(self, tmp_path):
+        # close() must not return while a pool worker is still alive: a
+        # caller that exits (or forks) right after it would orphan them.
+        import multiprocessing
+
+        engine = ExperimentEngine(jobs=2,
+                                  cache=ResultCache(store=FsStore(tmp_path),
+                                                    enabled=True))
+        engine.run_many(specs_for(per_core=40))
+        assert multiprocessing.active_children()
+        engine.close()
+        assert multiprocessing.active_children() == []
 
     def test_parallel_results_land_in_cache_as_canonical_json(self, tmp_path):
         """Worker blobs written verbatim must equal a local serialization."""

@@ -4,9 +4,8 @@ The contract of :mod:`repro.system.batch` is *bit identity*: for every
 eligible trace, ``simulate(..., batch=True)`` must produce the same
 :class:`RunStats` as the scalar reference loop, field for field.  These
 tests sweep that equality across protocols, workloads, and the edge
-cases (truncation, single core, forced pure-Python derive, the decline
-conditions) rather than asserting anything about the batched loop's
-internals.
+cases (truncation, single core, the decline conditions) rather than
+asserting anything about the batched loop's internals.
 """
 
 from __future__ import annotations
@@ -17,11 +16,9 @@ from repro.common.params import ProtocolKind, SystemConfig
 from repro.system import batch as batch_mod
 from repro.system.machine import simulate
 from repro.trace.packed import PackedTrace
-from repro.trace.workloads import build_streams
+from repro.trace.workloads import WORKLOADS, build_streams
 
 from tests.conftest import ALL_KINDS
-
-WORKLOADS = ("kmeans", "histogram", "linear-regression", "fft")
 
 
 def packed(workload: str, cores: int = 4, per_core: int = 300,
@@ -45,9 +42,10 @@ def both(trace: PackedTrace, config: SystemConfig, **kwargs):
 
 class TestDifferential:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_batch_matches_scalar(self, kind, workload):
-        scalar, batched = both(packed(workload), config_for(kind))
+        scalar, batched = both(packed(workload, per_core=200),
+                               config_for(kind))
         assert batched == scalar
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -72,17 +70,6 @@ class TestDifferential:
                                config_for(ProtocolKind.PROTOZOA_MW))
         assert batched == scalar
 
-    def test_pure_python_derive_matches(self, monkeypatch):
-        # Force the no-numpy derive path (what CI without numpy runs) and
-        # re-check identity end to end on a fresh, unmemoized trace.
-        from repro.trace import derived
-
-        monkeypatch.setattr(derived, "_np", None)
-        monkeypatch.setattr(derived, "_np_probed", True)
-        scalar, batched = both(packed("kmeans", seed=7),
-                               config_for(ProtocolKind.PROTOZOA_SW))
-        assert batched == scalar
-
 
 class _Boom:
     """Sentinel runner: constructing it means batching was NOT declined."""
@@ -92,12 +79,6 @@ class _Boom:
 
 
 class TestEligibility:
-    def test_env_flag_off_declines(self, monkeypatch):
-        monkeypatch.setenv(batch_mod.ENV_FLAG, "0")
-        monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
-        result = simulate(packed("kmeans"), config_for(ProtocolKind.MESI))
-        assert result.stats.accesses == 4 * 300
-
     def test_explicit_false_declines(self, monkeypatch):
         monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
         simulate(packed("kmeans"), config_for(ProtocolKind.MESI), batch=False)
@@ -124,11 +105,11 @@ class TestEligibility:
         scalar, batched = both(trace, config)
         assert batched == scalar
 
-    def test_unpacked_streams_decline(self, monkeypatch):
-        from repro.trace.events import MemAccess
-
-        monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
-        streams = [[MemAccess.read(8 * i) for i in range(10)]]
-        result = simulate(streams, config_for(ProtocolKind.MESI, cores=1),
-                          batch=True)
-        assert result.stats.accesses == 10
+    def test_object_streams_take_the_same_loops(self):
+        # MemAccess streams are packed on entry, so they run (and batch)
+        # exactly like the packed trace they pack into.
+        streams = build_streams("kmeans", cores=4, per_core=300)
+        config = config_for(ProtocolKind.PROTOZOA_MW)
+        from_objects = simulate(streams, config).stats.to_dict()
+        scalar, batched = both(PackedTrace.from_streams(streams), config)
+        assert from_objects == batched == scalar

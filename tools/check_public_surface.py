@@ -13,8 +13,10 @@ show the store-first surface (``ResultCache(store=FsStore(path))`` or
 ``configure_store("file:///path")``).
 
 And rejects, anywhere in the README, the docs or the examples, the
-cache-location settings and shim modules removed in 1.3 (the store URL
-replaced them; see UPGRADING.md).
+names removed in 1.3 (see UPGRADING.md): the cache-location settings
+and shim modules the store URL replaced, and the batch switch, the
+optional accelerator extra and the object-stream engine path that the
+trace-picked issue loop replaced.
 
 Exit status 1 lists every violation as ``file:line: import``.
 
@@ -51,11 +53,17 @@ def bad_imports(tree: ast.AST) -> Iterator[Tuple[int, str]]:
 CACHE_CLASSES = {"ResultCache", "TraceCache"}
 
 #: Names removed in 1.3: the three cache-location environment variables
-#: (``REPRO_CACHE``, the one off switch, stays), the two directory flags
-#: and the three shim modules.
+#: (``REPRO_CACHE``, the one off switch, stays), the two directory flags,
+#: the three shim modules, the batch switch (environment variable and
+#: ``--[no-]batch`` flag), the ``fast`` install extra and
+#: ``execute_spec``'s object-stream switch.  Spelled so that the removed
+#: names never appear literally in this file.
 REMOVED = re.compile(
-    r"\bREPRO_(?:TRACE_CACHE(?:_DIR)?|CACHE_DIR)\b"
+    r"\bREPRO_(?:TRACE_CACHE(?:_DIR)?|CACHE_DIR|BATCH)\b"
     r"|--(?:trace|cache)-dir\b"
+    r"|(?<![\w-])--(?:no-)?batch\b"
+    r"|\.\[fast\]"
+    r"|\bpacked\s*=\s*False\b"
     r"|\brepro\.(?:experiments\.engine|system\.simulator|trace\.cache)\b")
 
 
