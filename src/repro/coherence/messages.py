@@ -52,13 +52,16 @@ class MsgType(enum.Enum):
         self.label = label
         self.category = category
         self.carries_data = carries_data
+        # Plain per-type facts read once per message by the engine's _send.
+        self.category_key = category.value
+        self.is_writeback = label in ("WBACK", "WBACK-LAST")
+        #: The RunStats counter this message bumps, if any.
+        self.stats_counter = {"INV": "invalidations_sent",
+                              "Fwd-GETX": "invalidations_sent",
+                              "NACK": "nacks", "ACK-S": "ack_s"}.get(label)
 
     def size_bytes(self, payload_words: int = 0) -> int:
         """Total on-wire bytes for this message."""
         if payload_words and not self.carries_data:
             raise ValueError(f"{self.label} cannot carry data")
         return CONTROL_MESSAGE_BYTES + payload_words * WORD_BYTES
-
-    @property
-    def control_bytes(self) -> int:
-        return CONTROL_MESSAGE_BYTES

@@ -29,11 +29,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.messages import MsgType
-from repro.common.addresses import AddressMap
+from repro.common.addresses import WORD_BYTES, AddressMap
 from repro.common.errors import InvariantViolation, ProtocolError, SimulationError
-from repro.common.params import L1Organization, ProtocolKind, SystemConfig
+from repro.common.params import (CONTROL_MESSAGE_BYTES, L1Organization,
+                                 ProtocolKind, SystemConfig)
 from repro.common.wordrange import WordRange, popcount
-from repro.interconnect.accounting import NetworkAccountant
+from repro.interconnect.accounting import NetworkAccountant, RouteHistogramFold
 from repro.interconnect.mesh import MeshTopology
 from repro.memory.amoeba_cache import AmoebaCache
 from repro.memory.backing import L2Store
@@ -81,6 +82,8 @@ class CoherenceProtocol:
         # never change after construction, and attribute chains through the
         # frozen config dataclasses are measurably expensive per access.
         self._hit_latency = config.l1.hit_latency
+        self._l2_latency = config.l2.hit_latency
+        self._words_per_region = config.words_per_region
         self._check_invariants = config.check_invariants
         self._check_values = config.check_values
         # (core, words-mask) per dirty supplier of the current transaction;
@@ -102,6 +105,7 @@ class CoherenceProtocol:
         self._sc_hit = (0, 0)    # (read, write) — indexed by is_write
         self._sc_miss = (0, 0)
         self._sc_action: Dict[str, int] = {}
+        self._route_fold = None
         # Batch execution (repro.system.batch): called as
         # (core, region, victim_or_None) before this engine reads the
         # dirty/touched masks of blocks the batch runner may still hold
@@ -121,24 +125,24 @@ class CoherenceProtocol:
           (``trace_hook`` stays a purely user-facing hook);
         * the metrics registry hands out *scratch* counter slots — hit,
           miss, and directory-action counts become plain list-index adds,
-          folded into labeled series on any registry read — and *bound*
-          histograms for the network accountant, whose value-indexed
-          count lists are installed directly on the accountant and
-          incremented inline per transfer (no closure call),
-          preallocated to the topology's maximum hop count and the
-          widest message's flit count.
+          folded into labeled series on any registry read;
+        * the ``repro_message_hops`` / ``repro_message_flits`` histograms
+          cost nothing per message: a pending fold registered with the
+          registry turns the network accountant's route counts into
+          histogram samples on any registry read (each route's hop and
+          flit counts are known, so the fold is lossless).
 
-        Detach by passing ``None`` (scratch slots and the accountant's
-        histogram lists are released; ``trace_hook`` is untouched).
+        Detach by passing ``None`` (scratch slots are released and the
+        route fold takes its last deltas; ``trace_hook`` is untouched).
         """
         self._obs = obs
         self._obs_events = obs.events if obs is not None else None
-        net = self.net
+        if self._route_fold is not None:
+            self._route_fold.close()
+            self._route_fold = None
         if obs is None:
             self._obs_scratch = None
             self._sc_action = {}
-            net.obs_hop_counts = net.obs_flit_counts = None
-            net.obs_hop_hist = net.obs_flit_hist = None
             return
         if obs.metrics is not None:
             scratch = obs.metrics.counter_scratch()
@@ -155,16 +159,10 @@ class CoherenceProtocol:
                 for kind in self.ACTION_KINDS
             }
             self._obs_scratch = scratch.slots
-            hops = obs.metrics.bound_histogram(
-                "repro_message_hops", max_value=self.topology.max_hops)
-            flits = obs.metrics.bound_histogram(
-                "repro_message_flits",
-                max_value=net.max_flits(
-                    MsgType.WBACK.size_bytes(self.config.words_per_region)))
-            net.obs_hop_counts = hops.counts
-            net.obs_flit_counts = flits.counts
-            net.obs_hop_hist = hops
-            net.obs_flit_hist = flits
+            self._route_fold = RouteHistogramFold(
+                self.net, obs.metrics.histogram("repro_message_hops"),
+                obs.metrics.histogram("repro_message_flits"))
+            obs.metrics.defer(self._route_fold)
 
     def _obs_action(self, kind: str, target: int) -> None:
         """Report one directory-side action (scratch counter + event ring).
@@ -358,59 +356,59 @@ class CoherenceProtocol:
         mshr = self.mshrs[core]
         mshr.allocate(region)
         try:
-            req = self._request_range(core, region, rng, is_write, pc)
-            if not req.covers(rng):
-                req = req.span(rng)
+            req = self._request_range(core, region, rng, is_write, pc).span(rng)
             # The new block will merge with every resident block it
             # overlaps, so coherence permission must be acquired for the
             # whole merged span (iterate to a fixpoint: spanning can pull
-            # in further blocks).  If any merged-in block is writable, the
-            # merged block stays M, so the request must be exclusive even
-            # for a load (read-for-ownership merge).
+            # in further blocks; span returns ``req`` itself while nothing
+            # widens it).  If any merged-in block is writable, the merged
+            # block stays M, so the request must be exclusive even for a
+            # load (read-for-ownership merge).  The final scan's blocks
+            # also give the words the core can already read.
             l1 = self.l1s[core]
             while True:
+                overlapping = l1.overlapping(region, req)
                 wider = req
-                for block in l1.overlapping(region, req):
+                for block in overlapping:
                     wider = wider.span(block.range)
-                if wider == req:
+                if wider is req:
                     break
                 req = wider
-            exclusive = is_write or any(
-                b.state.writable for b in l1.overlapping(region, req)
-            )
-            payload_mask = req.to_mask() & ~self._readable_mask(core, region, req)
-            upgrade = is_write and payload_mask == 0
-            if upgrade:
-                self.stats.upgrade_misses += 1
-            elif is_write:
+            exclusive = is_write
+            readable = 0
+            for block in overlapping:
+                state = block.state
+                if state is not LineState.I:
+                    readable |= block.range.mask
+                    if state is LineState.M or state is LineState.E:
+                        exclusive = True
+            payload_mask = req.mask & ~readable
+            if not is_write:
+                self.stats.read_misses += 1
+            elif payload_mask:
                 self.stats.write_misses += 1
             else:
-                self.stats.read_misses += 1
+                self.stats.upgrade_misses += 1
             latency, granted = self._serve_miss(core, region, req, exclusive, pc, payload_mask)
             values = self.l2.read(region, req)
             self._install(core, region, req, values, granted, pc, rng.start,
                           payload_mask, exclusive)
-            self.stats.miss_latency_total += latency
-            self.stats.miss_latency.record(latency)
-            return self.config.l1.hit_latency + latency
+            stats = self.stats
+            stats.miss_latency_total += latency
+            stats.miss_latency.record(latency)
+            return self._hit_latency + latency
         finally:
             mshr.release(region)
 
-    def _readable_mask(self, core: int, region: int, req: WordRange) -> int:
-        have = 0
-        for block in self.l1s[core].overlapping(region, req):
-            if block.state.readable:
-                have |= block.range.to_mask()
-        return have & req.to_mask()
-
     def _request_range(self, core: int, region: int, rng: WordRange,
                        is_write: bool, pc: int) -> WordRange:
-        """Storage/communication granularity for this miss."""
+        """Predicted storage/communication granularity for this miss
+        (the caller widens it to cover ``rng``)."""
         predictor = self.predictors[core]
         if predictor is None:
             return self.amap.full_range()
-        predicted = predictor.predict(pc, region, rng, is_write, self.config.words_per_region)
-        return predicted.span(rng)
+        return predictor.predict(pc, region, rng, is_write,
+                                 self._words_per_region)
 
     # ------------------------------------------------------------------
     # Directory-side transaction skeleton
@@ -418,8 +416,9 @@ class CoherenceProtocol:
 
     def _serve_miss(self, core: int, region: int, req: WordRange, is_write: bool,
                     pc: int, payload_mask: int) -> Tuple[int, LineState]:
-        home = self.topology.home_node(region)
-        core_node = self.topology.core_node(core)
+        topology = self.topology
+        home = topology.home_node(region)
+        core_node = topology.core_node(core)
         entry = self.directory.lookup(region)
         upgrade = is_write and payload_mask == 0
         req_type = MsgType.UPGRADE if upgrade else (MsgType.GETX if is_write else MsgType.GETS)
@@ -433,7 +432,7 @@ class CoherenceProtocol:
             rec = obs_events._open
             if rec is not None:
                 rec[F_GRANTED] = granted.name
-        payload_words = popcount(payload_mask)
+        payload_words = payload_mask.bit_count()
         supplier = self._three_hop_supplier(payload_mask) if payload_words else None
         if supplier is not None:
             # 3-hop: the single dirty owner forwards the data directly; the
@@ -441,15 +440,15 @@ class CoherenceProtocol:
             # finishes when the direct data arrives AND every probe has
             # drained at the home (writebacks/ACKs), whichever is later.
             sup_core, _, snoop_lat = supplier
-            supplier_node = self.topology.core_node(sup_core)
+            supplier_node = topology.core_node(sup_core)
             direct = snoop_lat + self._send(MsgType.DATA, supplier_node,
                                             core_node, payload_words)
-            completion = max(legs) + self.config.l2.hit_latency if legs else 0
+            completion = max(legs) + self._l2_latency if legs else 0
             self._send(MsgType.ACK, home, core_node)  # overlapped completion
             latency += max(direct, completion)
         else:
             if legs:
-                latency += max(legs) + self.config.l2.hit_latency
+                latency += max(legs) + self._l2_latency
             if payload_words:
                 latency += self._send(MsgType.DATA, home, core_node, payload_words)
             else:
@@ -487,9 +486,14 @@ class CoherenceProtocol:
     def _send(self, mtype: MsgType, src_node: int, dst_node: int,
               payload_words: int = 0, used_payload_words: int = 0,
               at_l1: bool = True) -> int:
-        """Record one message; returns its network latency."""
-        size = mtype.size_bytes(payload_words)
-        latency = self.net.transfer(src_node, dst_node, size)
+        """Record one message; returns its network latency.
+
+        The size rule is :meth:`MsgType.size_bytes`, inlined.
+        """
+        if payload_words and not mtype.carries_data:
+            raise ValueError(f"{mtype.label} cannot carry data")
+        latency = self.net.transfer(
+            src_node, dst_node, CONTROL_MESSAGE_BYTES + payload_words * WORD_BYTES)
         if self.trace_hook is not None:
             self.trace_hook(mtype, src_node, dst_node, payload_words)
         obs_events = self._obs_events
@@ -501,33 +505,31 @@ class CoherenceProtocol:
             if rec is not None:
                 rec[F_MSGS].append(
                     [mtype.label, src_node, dst_node, payload_words])
+        stats = self.stats
         if at_l1:
-            self.stats.control_bytes(mtype.category, mtype.control_bytes)
-            if payload_words and mtype in (MsgType.WBACK, MsgType.WBACK_LAST):
-                self.stats.data_words(used_payload_words, payload_words - used_payload_words)
-        if mtype in (MsgType.INV, MsgType.FWD_GETX):
-            self.stats.invalidations_sent += 1
-        elif mtype is MsgType.NACK:
-            self.stats.nacks += 1
-        elif mtype is MsgType.ACK_S:
-            self.stats.ack_s += 1
+            stats.traffic.control[mtype.category_key] += CONTROL_MESSAGE_BYTES
+            if payload_words and mtype.is_writeback:
+                stats.data_words(used_payload_words,
+                                 payload_words - used_payload_words)
+        counter = mtype.stats_counter
+        if counter is not None:
+            setattr(stats, counter, getattr(stats, counter) + 1)
         return latency
 
     def _l2_fetch(self, region: int, home: int) -> int:
         """L2 bank access, fetching the region from memory when absent."""
-        latency = self.config.l2.hit_latency
-        if not self.l2.present(region):
-            mem = self.topology.memory_node(home)
-            latency += self._send(MsgType.MEM_READ, home, mem, at_l1=False)
-            latency += self.config.memory_latency
-            latency += self._send(
-                MsgType.MEM_DATA, mem, home, self.config.words_per_region, at_l1=False
-            )
-            self.l2.ensure_present(region)
-            latency += self.config.l2.hit_latency
-        else:
-            self.l2.ensure_present(region)
-        return latency
+        l2 = self.l2
+        if l2.present(region):
+            l2.ensure_present(region)
+            return self._l2_latency
+        mem = self.topology.memory_node(home)
+        latency = self._l2_latency + self._send(MsgType.MEM_READ, home, mem,
+                                                at_l1=False)
+        latency += self.config.memory_latency
+        latency += self._send(MsgType.MEM_DATA, mem, home,
+                              self._words_per_region, at_l1=False)
+        l2.ensure_present(region)
+        return latency + self._l2_latency
 
     def _probe_leg_latency(self, home: int, target: int, blocks: int,
                            request_lat: int, reply_lat: int) -> int:
@@ -636,44 +638,52 @@ class CoherenceProtocol:
     def _install(self, core: int, region: int, req: WordRange, values: List[int],
                  granted: LineState, pc: int, miss_word: int, payload_mask: int,
                  is_write: bool) -> None:
+        # Rescan: the L2 fetch may have recalled some of these blocks.
         l1 = self.l1s[core]
         overlapping = l1.overlapping(region, req)
         self.mshrs[core].note_multi_block(from_cpu=True, blocks=len(overlapping) + 1)
-        merged = req
-        for block in overlapping:
-            merged = merged.span(block.range)
-        data: List[int] = []
-        for word in merged.words():
-            old = next((b for b in overlapping if b.range.contains(word)), None)
-            if old is not None:
-                data.append(old.value(word))
-            else:
-                data.append(values[word - req.start])
+        stats = self.stats
         state = LineState.M if is_write else granted
+        merged = req
+        data = values  # a fresh slice of the L2 region
         touched = 0
         dirty = 0
         old_fetched = 0
-        for block in overlapping:
-            touched |= block.touched_mask
-            dirty |= block.dirty_mask
-            old_fetched |= block.fetched_mask
-            if _STATE_RANK[block.state] > _STATE_RANK[state]:
-                state = block.state
-            l1.remove(block)
-        # Words delivered again although previously fetched: classify now so
-        # the byte totals match what was actually transmitted.
-        refetched = payload_mask & old_fetched
-        if refetched:
-            used_now = popcount(refetched & touched)
-            self.stats.data_words(used_now, popcount(refetched) - used_now)
+        if overlapping:
+            rank = _STATE_RANK[state]
+            for block in overlapping:
+                merged = merged.span(block.range)
+                touched |= block.touched_mask
+                dirty |= block.dirty_mask
+                old_fetched |= block.fetched_mask
+                if _STATE_RANK[block.state] > rank:
+                    state = block.state
+                    rank = _STATE_RANK[state]
+                l1.remove(block)
+            if merged is not req:
+                offset = req.start - merged.start
+                data = [0] * merged.width
+                data[offset:offset + req.width] = values
+            # Resident words keep their values; the first block listed
+            # wins a word, as it would in a per-word first-match lookup.
+            base = merged.start
+            for block in reversed(overlapping):
+                start = block.range.start - base
+                data[start:start + block.range.width] = block.data
+            # Words delivered again although previously fetched: classify
+            # now so the byte totals match what was actually transmitted.
+            refetched = payload_mask & old_fetched
+            if refetched:
+                used_now = (refetched & touched).bit_count()
+                stats.data_words(used_now, refetched.bit_count() - used_now)
         new_block = Block(region, merged, state, data, pc, miss_word)
         new_block.touched_mask = touched
         new_block.dirty_mask = dirty
         new_block.fetched_mask = old_fetched | payload_mask
         l1.insert(new_block, lambda victim: self._on_evict(core, victim, region))
-        self.stats.record_install(merged.width)
-        self.stats.fills += 1
-        self.stats.fill_words += popcount(payload_mask)
+        stats.record_install(merged.width)
+        stats.fills += 1
+        stats.fill_words += payload_mask.bit_count()
 
     def _on_evict(self, core: int, victim: Block,
                   incoming_region: Optional[int] = None) -> None:
@@ -695,7 +705,7 @@ class CoherenceProtocol:
             remaining = self.l1s[core].blocks_of(region)
             last = not remaining and region != incoming_region
             mtype = MsgType.WBACK_LAST if last else MsgType.WBACK
-            used = popcount(victim.touched_mask)
+            used = victim.touched_mask.bit_count()
             self._send(mtype, self.topology.core_node(core), home,
                        victim.range.width, used)
             self.l2.patch(region, victim.range, list(victim.data))
@@ -708,14 +718,15 @@ class CoherenceProtocol:
     def _retire_block(self, core: int, block: Block, invalidated: bool) -> None:
         """A block leaves an L1: classify its fill words, train the predictor."""
         fetched = block.fetched_mask
-        used = popcount(fetched & block.touched_mask)
-        self.stats.data_words(used, popcount(fetched) - used)
+        used = (fetched & block.touched_mask).bit_count()
+        stats = self.stats
+        stats.data_words(used, fetched.bit_count() - used)
         if invalidated:
-            self.stats.inval_block_kills += 1
+            stats.inval_block_kills += 1
         predictor = self.predictors[core]
         if predictor is not None:
             predictor.train(block.miss_pc, block.miss_word, block.touched_mask,
-                            fetched, self.config.words_per_region,
+                            fetched, self._words_per_region,
                             invalidated=invalidated)
 
     # ------------------------------------------------------------------
@@ -774,7 +785,7 @@ class CoherenceProtocol:
                 raise ProtocolError(
                     f"core {core} read of R{region} word {word} not satisfied"
                 )
-            block.touch(WordRange(word, word))
+            block.touched_mask |= 1 << word  # peek returned a covering block
             if golden is not None:
                 got = block.value(word)
                 if got != golden[word]:

@@ -9,7 +9,7 @@ module hand-rolls shifting/masking.
 from __future__ import annotations
 
 from repro.common.errors import ConfigError
-from repro.common.wordrange import WordRange
+from repro.common.wordrange import WordRange, word_range
 
 WORD_BYTES = 8
 
@@ -24,12 +24,13 @@ class AddressMap:
             raise ConfigError(f"region size {region_bytes} not a multiple of {WORD_BYTES}")
         self.region_bytes = region_bytes
         self.words_per_region = region_bytes // WORD_BYTES
-        # Interned WordRange instances for every (first, last) pair within a
-        # region: access_range() runs once per simulated access, and reusing
-        # ranges keeps their precomputed masks hot instead of reallocating.
+        # The interned WordRange (word_range) of every (first, last) pair
+        # within a region: access_range() runs once per simulated access,
+        # and reusing ranges keeps their precomputed masks hot instead of
+        # reallocating.
         words = self.words_per_region
         self._ranges = [
-            [WordRange(first, last) if last >= first else None
+            [word_range(first, last) if last >= first else None
              for last in range(words)]
             for first in range(words)
         ]

@@ -6,12 +6,15 @@ range never spans a region boundary, so both endpoints are small
 non-negative integers (``0..words_per_region-1``).
 
 ``WordRange`` is immutable and hashable so it can be used as a dict key and
-stored safely in sets; all combining operations return new ranges.
+stored safely in sets.  Because it is immutable, one instance per
+``(start, end)`` pair can be shared: :func:`word_range` hands out those
+interned instances, and :meth:`WordRange.span` returns one of its inputs
+or an interned range rather than allocating on the miss path.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class WordRange:
@@ -64,8 +67,22 @@ class WordRange:
         return WordRange(lo, hi)
 
     def span(self, other: "WordRange") -> "WordRange":
-        """The smallest range covering both inputs (fills any gap)."""
-        return WordRange(min(self.start, other.start), max(self.end, other.end))
+        """The smallest range covering both inputs (fills any gap).
+
+        Returns ``self`` or ``other`` when one covers the other, else the
+        interned range (:func:`word_range`).
+        """
+        start, end = self.start, self.end
+        ostart, oend = other.start, other.end
+        if start <= ostart:
+            if oend <= end:
+                return self
+            if start == ostart:
+                return other
+            return word_range(start, oend)
+        if end <= oend:
+            return other
+        return word_range(ostart, end)
 
     def subtract(self, other: "WordRange") -> List["WordRange"]:
         """The parts of this range not covered by ``other`` (0-2 pieces)."""
@@ -95,8 +112,8 @@ class WordRange:
 
     @staticmethod
     def full(words_per_region: int) -> "WordRange":
-        """The range covering a whole region."""
-        return WordRange(0, words_per_region - 1)
+        """The range covering a whole region (interned)."""
+        return word_range(0, words_per_region - 1)
 
     def clamp(self, words_per_region: int) -> "WordRange":
         """Clip the range to fit within a region of the given size."""
@@ -122,6 +139,21 @@ class WordRange:
 
     def __str__(self) -> str:
         return f"[{self.start}-{self.end}]"
+
+
+_INTERNED: Dict[Tuple[int, int], WordRange] = {}
+
+
+def word_range(start: int, end: int) -> WordRange:
+    """The shared ``WordRange(start, end)`` instance.
+
+    Ranges are bounded by the region size, so the table stays tiny (one
+    entry per pair ever requested); validation happens on first use.
+    """
+    rng = _INTERNED.get((start, end))
+    if rng is None:
+        rng = _INTERNED[(start, end)] = WordRange(start, end)
+    return rng
 
 
 def union_mask(ranges) -> int:

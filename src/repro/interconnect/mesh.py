@@ -24,6 +24,12 @@ class MeshTopology:
         self.nodes = self.width * self.height
         self._corners = self._corner_nodes()
         self._hops = self._precompute_hops()
+        # Nearest controller per home tile; ties go to the lowest-numbered
+        # corner (``min`` over the sorted corners keeps the first).
+        self._memory_nodes = [
+            min(self._corners, key=lambda c, row=row: row[c])
+            for row in self._hops
+        ]
         # Largest hop count any route can see (the far-corner diagonal);
         # lets observers preallocate value-indexed histograms.
         self.max_hops = (self.width - 1) + (self.height - 1)
@@ -55,7 +61,7 @@ class MeshTopology:
 
     def memory_node(self, home: int) -> int:
         """Nearest memory controller (corner tile) to ``home``."""
-        return min(self._corners, key=lambda c: self._hops[home][c])
+        return self._memory_nodes[home]
 
     # -- distances ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.common.params import PredictorKind
-from repro.common.wordrange import WordRange
+from repro.common.wordrange import WordRange, word_range
 
 
 class SpatialPredictor:
@@ -82,16 +82,14 @@ class PCHistoryPredictor(SpatialPredictor):
             self.cold += 1
             return WordRange.full(words_per_region)
         self.hits += 1
-        pattern = entry[0]
-        lo = rng.start
-        hi = rng.end
-        for offset in range(-self.max_offset, self.max_offset + 1):
-            if pattern & (1 << (offset + self.max_offset)):
-                word = rng.start + offset
-                if 0 <= word < words_per_region:
-                    lo = min(lo, word)
-                    hi = max(hi, word)
-        return WordRange(lo, hi)
+        # Bit ``offset + max_offset`` of the pattern is word
+        # ``rng.start + offset``: shift the pattern onto word indices,
+        # clip it to the region, and span it together with the access.
+        shift = rng.start - self.max_offset
+        words = entry[0] << shift if shift >= 0 else entry[0] >> -shift
+        words = (words & ((1 << words_per_region) - 1)) | rng.mask
+        return word_range((words & -words).bit_length() - 1,
+                          words.bit_length() - 1)
 
     def train(self, pc, miss_word, touched_mask, fetched_mask, words_per_region,
               invalidated=False):
@@ -99,12 +97,12 @@ class PCHistoryPredictor(SpatialPredictor):
             # The block died untouched (e.g. invalidated immediately);
             # remember at least the miss word so training still converges.
             touched_mask = 1 << miss_word
-        pattern = 0
-        for word in range(words_per_region):
-            if touched_mask & (1 << word):
-                offset = word - miss_word
-                if -self.max_offset <= offset <= self.max_offset:
-                    pattern |= 1 << (offset + self.max_offset)
+        # Word ``w`` lands on bit ``w - miss_word + max_offset``; offsets
+        # beyond +-max_offset fall outside the pattern window.
+        touched_mask &= (1 << words_per_region) - 1
+        shift = self.max_offset - miss_word
+        pattern = touched_mask << shift if shift >= 0 else touched_mask >> -shift
+        pattern &= (1 << (2 * self.max_offset + 1)) - 1
         slot = self._slot(pc)
         entry = self._table.get(slot)
         if entry is None:

@@ -26,8 +26,11 @@ can aggregate across runs and across worker processes:
 bind *scratch* handles once — :meth:`MetricsRegistry.counter_scratch`
 hands out plain-int slots in a flat list, :meth:`bound_histogram` a
 value-indexed count list — and the per-event cost is a single list index
-add.  Scratch deltas are *deferred*: they fold into the real counters and
-histograms at phase end and, transparently, on **any registry read**
+add; a caller that already keeps its own counts registers a fold with
+:meth:`MetricsRegistry.defer` (the network accountant's route counts feed
+the message hop/flit histograms this way).  Scratch deltas are
+*deferred*: they fold into the real counters and histograms at phase
+end and, transparently, on **any registry read**
 (``counters()``, ``counter_value()``, ``histograms()``, ``to_dict()``,
 ``len()``), so a mid-run reader always sees up-to-date totals and the
 wire form is byte-identical to eager recording.
@@ -343,6 +346,12 @@ class MetricsRegistry:
         bound = BoundHistogram(self.histogram(name, **labels), max_value)
         self._pending.append(bound)
         return bound
+
+    def defer(self, pending) -> None:
+        """Register any object with a ``fold() -> bool`` method as a
+        pending scratch, folded before every read like the built-in ones
+        (e.g. the network accountant's route-count fold)."""
+        self._pending.append(pending)
 
     def fold_pending(self) -> None:
         """Commit every scratch delta now (phase/chunk boundaries)."""

@@ -8,6 +8,7 @@ from repro.common.wordrange import (
     mask_to_ranges,
     popcount,
     union_mask,
+    word_range,
 )
 
 ranges = st.integers(0, 7).flatmap(
@@ -23,6 +24,15 @@ class TestConstruction:
 
     def test_full_region(self):
         assert WordRange.full(8) == WordRange(0, 7)
+
+    def test_interned_ranges_are_shared(self):
+        assert word_range(2, 5) is word_range(2, 5)
+        assert word_range(2, 5) == WordRange(2, 5)
+        assert WordRange.full(8) is word_range(0, 7)
+
+    def test_interned_range_still_validates(self):
+        with pytest.raises(ValueError):
+            word_range(5, 2)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
@@ -138,6 +148,17 @@ class TestProperties:
     def test_span_covers_both(self, a, b):
         s = a.span(b)
         assert s.covers(a) and s.covers(b)
+
+    @given(ranges, ranges)
+    def test_span_is_smallest_cover(self, a, b):
+        s = a.span(b)
+        assert s == WordRange(min(a.start, b.start), max(a.end, b.end))
+        if a.covers(b):
+            assert s is a
+        elif b.covers(a):
+            assert s is b
+        else:
+            assert s is word_range(s.start, s.end)
 
     @given(ranges, ranges)
     def test_subtract_disjoint_from_other(self, a, b):

@@ -65,6 +65,14 @@ class TestPlacement:
         assert m.memory_node(10) == 15
         assert m.memory_node(7) == 3
 
+    @pytest.mark.parametrize("w,h", [(4, 4), (2, 3), (5, 2), (1, 4), (8, 8)])
+    def test_memory_node_table_matches_nearest_corner_scan(self, w, h):
+        m = mesh(w, h)
+        corners = sorted({0, w - 1, (h - 1) * w, h * w - 1})
+        for home in range(m.nodes):
+            want = min(corners, key=lambda c: m.hops(home, c))
+            assert m.memory_node(home) == want
+
     def test_rectangular_mesh(self):
         m = mesh(2, 3)
         assert m.nodes == 6
